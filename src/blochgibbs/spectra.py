@@ -4,9 +4,10 @@ Averaging rho^(x)n over the Bloch ball against the radial weight of the
 complex family produces a 2^n x 2^n matrix whose eigenvalues lambda_{n,d}
 (d = 0..floor(n/2)) come in gamma-ratio closed form with integer
 multiplicities m_{n,d}.  This module carries the closed-form spectrum, the
-multiplicity-weighted spin sums, a brute-force tensor quadrature oracle
-for n <= 3, the relative entropy of rho^(x)n against the average, the
-truncated large-n asymptotics of that relative entropy, and the two
+multiplicity-weighted spin sums, an independent quadrature oracle for the
+matrix itself (n <= 8; exact in angle through a spherical design, numerical
+only in the radius), the relative entropy of rho^(x)n against the average,
+the truncated large-n asymptotics of that relative entropy, and the two
 nonlinear solves it gives rise to (stationary point and maximin).
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import rootfind
 from .errors import ConvergenceError, DomainError, QuadratureError
 from .models import (GibbsPoint, ModelKind, atanh_omega, mean_energy,
-                     omega_complex, partition, var_energy)
+                     omega_complex, pdf, var_energy)
 from .oracles import DensityMatrix2
 from .specfun import log_gamma
 
@@ -112,75 +113,112 @@ def spin_sum_polarization(n: int, beta: float) -> float:
                      for e in table.entries)
 
 
-def _radial_weight(beta: float, t: np.ndarray) -> np.ndarray:
-    """Weight of the ball average in t = sqrt(E): pdf of the complex family."""
+# The tensor oracle's domain (also relative_entropy_numeric's): 2^n <= 256.
+_MAX_TENSOR_N = 8
+# Radial Gauss-Legendre levels; successive levels must agree to _DRIFT_TOL.
+_RADIAL_LEVELS = (48, 96, 192, 384)
+_DRIFT_TOL = 1e-9
+
+
+def _radial_moments(n: int, beta: float, nodes: int) -> np.ndarray:
+    """m_k = <((1+r)/2)^k ((1-r)/2)^(n-k)>, k = 0..n, over the complex-family
+    radius r = Omega(E), by Gauss-Legendre in t = sqrt(E) on
+    [0, sqrt(50/beta)].  Past t = 6, 1 - r < 1e-16, so a separate panel
+    there keeps small beta (a long flat tail) from starving the region
+    where r varies."""
+    t_up = math.sqrt(50.0 / beta)
+    edges = (0.0, t_up) if t_up <= 6.0 else (0.0, 6.0, t_up)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = np.diff(edges)[:, None] / 2.0
+    t = (half * (x + 1.0) + np.array(edges[:-1])[:, None]).ravel()
     E = t * t
-    z = partition(GibbsPoint(ModelKind.COMPLEX, beta))
-    return 2.0 * t * np.exp(-beta * E) * omega_complex(E) / z
+    # pdf in t is pdf(E) dE/dt = pdf(E) 2t
+    w = (half * w).ravel() * pdf(GibbsPoint(ModelKind.COMPLEX, beta), E) * 2.0 * t
+    r = omega_complex(E)
+    up = 0.5 * (1.0 + r)
+    down = 0.5 * np.exp(-E) / (1.0 + r)  # (1 - r)/2 without cancellation
+    k = np.arange(n + 1)
+    return w @ (up[:, None] ** k * down[:, None] ** (n - k))
 
 
-def _zeta_once(n: int, beta: float, nodes: int) -> np.ndarray:
-    """Tensor-product Gauss-Legendre average of rho^(x)n over the ball."""
-    t_up = math.sqrt(max(50.0, 50.0 / beta))
-    xt, wt = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * t_up * (xt + 1.0)
-    w_t = 0.5 * t_up * wt * _radial_weight(beta, t)
-    xq, wq = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.5 * math.pi * (xq + 1.0)
-    w_theta = 0.5 * math.pi * wq * 0.5 * np.sin(theta)  # sin(theta)/2 measure
-    phi = 2.0 * math.pi * np.arange(nodes) / nodes
-    w_phi = np.full(nodes, 1.0 / nodes)  # periodic trapezoid, mean over phi
-
-    r = omega_complex(t * t)
-    dim = 2 ** n
-    zeta = np.zeros((dim, dim), dtype=complex)
-    for i in range(nodes):  # radial slices keep the working set small
-        # bloch components on the (theta, phi) grid
-        x = r[i] * np.outer(np.sin(theta), np.cos(phi))
-        y = r[i] * np.outer(np.sin(theta), np.sin(phi))
-        z = r[i] * np.outer(np.cos(theta), np.ones(nodes))
-        rho = 0.5 * np.stack([
-            np.stack([1.0 + z, x - 1j * y], axis=-1),
-            np.stack([x + 1j * y, 1.0 - z], axis=-1),
-        ], axis=-2)  # (ntheta, nphi, 2, 2)
-        kron = rho
-        for _ in range(n - 1):
-            kron = np.einsum("abij,abkl->abikjl", kron, rho).reshape(
-                rho.shape[0], rho.shape[1], kron.shape[-1] * 2, kron.shape[-1] * 2)
-        weight = w_t[i] * np.multiply.outer(w_theta, w_phi)
-        zeta += np.einsum("ab,abij->ij", weight, kron)
-    return 0.5 * (zeta + zeta.conj().T)
+def _apply_power_to_rows(v: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """v^(x)n m for a 2^n-row matrix m, one tensor factor at a time."""
+    cols = m.shape[1]
+    for j in range(n):
+        m = np.matmul(v, m.reshape(2 ** j, 2, -1))
+    return m.reshape(2 ** n, cols)
 
 
-def zeta_matrix_oracle(n: int, beta: float, nodes: int = 48) -> np.ndarray:
-    """Quadrature average of rho^(x)n, with node doubling until the
-    eigenvalues stabilize; Hermitian 2^n x 2^n output."""
-    if not 1 <= n <= 3:
-        raise DomainError("the tensor oracle is limited to n in 1..3")
+def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
+    """Ball average zeta_n of rho^(x)n against the complex-family radial
+    weight, by quadrature; Hermitian 2^n x 2^n output.  Independent of the
+    closed form: ``spectrum`` is not used.
+
+    Rule: along a Bloch direction u with eigenbasis V of u.sigma,
+    rho(r, u) = V diag((1+r)/2, (1-r)/2) V^dagger, so the radial integral is
+    V^(x)n diag(m_k(i)) V^(x)n^dagger, with m_k the ``_radial_moments`` and
+    k(i) the number of "+" factors of basis state i.  That is a polynomial
+    of degree <= n in u, integrated exactly by a spherical n-design:
+    Gauss-Legendre in cos(theta) with floor(n/2)+1 nodes times n+1
+    equispaced phi.  Since V = P R(theta) P^dagger with P = diag(1, e^(i phi))
+    and P^(x)n diagonal, each theta node is one real conjugation by R^(x)n,
+    applied a factor at a time, and the phi nodes are entrywise phases.
+    Only the moments are numerical: radial Gauss-Legendre levels 48, 96,
+    192, 384 until two agree to 1e-9; the direction weights are positive
+    and sum to 1, so (Weyl) the eigenvalues then agree to 1e-9 too.
+
+    Domain: integer n in 1..8, finite beta > 0; DomainError outside it,
+    QuadratureError if the radial levels do not settle.
+
+    Accuracy: for n = 1..8 and 1e-10 <= beta <= 100 the eigenvalues match
+    the closed form (evaluated in mpmath) to 2e-14 absolute; for larger
+    beta the error follows the relative error of ``models.partition``
+    (1e-11 at beta = 1e4).  The output is exactly Hermitian.
+
+    Cost (one core): about 6 ms for n = 3, mostly generating the radial
+    Gauss-Legendre nodes, and 15-30 ms with a few MB of working memory for
+    n = 8.
+    """
+    if not (1 <= n <= _MAX_TENSOR_N and n == int(n)):
+        raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
     if not math.isfinite(beta) or beta <= 0:
         raise DomainError("beta must be positive")
-    if nodes < 48:
-        raise DomainError("nodes must be >= 48")
-    zeta = _zeta_once(n, beta, nodes)
-    current = nodes
-    while current <= 192:
-        current *= 2
-        finer = _zeta_once(n, beta, current)
-        drift = np.max(np.abs(np.linalg.eigvalsh(finer)
-                              - np.linalg.eigvalsh(zeta)))
-        zeta = finer
-        if drift < 1e-9:
-            return zeta
-    raise QuadratureError(
-        f"tensor average eigenvalues still drifting ({drift:.2e}) at "
-        f"{current} nodes")
+    n = int(n)
+    moments = _radial_moments(n, beta, _RADIAL_LEVELS[0])
+    for nodes in _RADIAL_LEVELS[1:]:
+        finer = _radial_moments(n, beta, nodes)
+        drift = float(np.max(np.abs(finer - moments)))
+        moments = finer
+        if drift < _DRIFT_TOL:
+            break
+    else:
+        raise QuadratureError(
+            f"tensor average radial moments still drifting ({drift:.2e}) at "
+            f"{nodes} nodes")
+
+    minus_count = np.array([bin(i).count("1") for i in range(2 ** n)])
+    diag = moments[n - minus_count]
+    cos_theta, w_theta = np.polynomial.legendre.leggauss(n // 2 + 1)
+    real_part = np.zeros((2 ** n, 2 ** n))
+    for ct, w in zip(cos_theta, 0.5 * w_theta):
+        c, s = math.sqrt(0.5 * (1.0 + ct)), math.sqrt(0.5 * (1.0 - ct))
+        rot = np.array([[c, -s], [s, c]])  # columns: +1, -1 eigenvectors
+        half = _apply_power_to_rows(rot, np.diag(diag), n)  # R^(x)n D
+        real_part += w * _apply_power_to_rows(rot, half.T, n)
+    phi = 2.0 * math.pi * np.arange(n + 1) / (n + 1)
+    phase = np.exp(1j * np.multiply.outer(phi, minus_count))  # P^(x)n diagonals
+    zeta = real_part * (phase.T @ phase.conj()) / (n + 1)
+    return 0.5 * (zeta + zeta.conj().T)
 
 
 def relative_entropy_numeric(rho: DensityMatrix2, n: int, beta: float) -> float:
     """Relative entropy of rho^(x)n with respect to the averaged matrix:
-    -n S(rho) - Tr(rho^(x)n log zeta_n), natural logs."""
-    if not 1 <= n <= 3:
-        raise DomainError("n must be in 1..3")
+    -n S(rho) - Tr(rho^(x)n log zeta_n), natural logs.
+
+    Domain as ``zeta_matrix_oracle`` (integer n in 1..8, beta > 0).  For
+    the maximally mixed rho it matches the closed form
+    -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d} to within 1e-14.
+    """
     zeta = zeta_matrix_oracle(n, beta)
     lam, vec = np.linalg.eigh(zeta)
     if np.any(lam <= 0):
@@ -188,7 +226,7 @@ def relative_entropy_numeric(rho: DensityMatrix2, n: int, beta: float) -> float:
     log_zeta = (vec * np.log(lam)) @ vec.conj().T
     rho_m = rho.matrix()
     kron = rho_m
-    for _ in range(n - 1):
+    for _ in range(int(n) - 1):
         kron = np.kron(kron, rho_m)
     p, q = rho.eigenvalues
     s_rho = -sum(v * math.log(v) for v in (p, q) if v > 0)

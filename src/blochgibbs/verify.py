@@ -408,9 +408,9 @@ def _suite_spectra() -> list[Check]:
                          spectra.relative_entropy_numeric(mixed, 1, 3.0),
                          0.0, 1e-9))
     nearly_pure = oracles.DensityMatrix2(r=0.999999, theta=1.0, phi=2.0)
-    checks.append(_flag("relative_entropy_pure_nonnegative",
-                        spectra.relative_entropy_numeric(nearly_pure, 2, 1.0) >= 0,
-                        got=spectra.relative_entropy_numeric(nearly_pure, 2, 1.0)))
+    rel_pure = spectra.relative_entropy_numeric(nearly_pure, 2, 1.0)
+    checks.append(_flag("relative_entropy_pure_nonnegative", rel_pure >= 0,
+                        got=rel_pure))
 
     beta_st, e_st = spectra.solve_stationary_point()
     checks.append(_close("stationary_point_beta", beta_st, 0.457407, 1e-4))

@@ -98,32 +98,57 @@ class TestZetaOracle:
         eig = np.sort(np.linalg.eigvalsh(z))
         assert np.max(np.abs(eig - np.array([0.1, 0.3, 0.3, 0.3]))) < 1e-6
 
-    def test_n3_matches_closed_form_spectrum(self):
-        z = zeta_matrix_oracle(3, 0.5)
+    @pytest.mark.parametrize("n,beta", [(n, beta) for n in range(1, 9)
+                                        for beta in (0.3, 0.5, 1.0, 5.0)])
+    def test_matches_closed_form_spectrum(self, n, beta):
+        z = zeta_matrix_oracle(n, beta)
         eig = np.sort(np.linalg.eigvalsh(z))
-        table = spectrum(3, 0.5)
+        table = spectrum(n, beta)
         want = np.sort(np.concatenate(
             [[e.lam] * e.multiplicity for e in table.entries]))
         assert np.max(np.abs(eig - want)) < 1e-6
+        # the angular rule is exact; only the radial moments are numerical
+        assert np.max(np.abs(eig - want)) < 1e-12
         assert np.trace(z).real == pytest.approx(1.0, abs=1e-8)
         assert np.all(eig >= 0)
+        assert np.max(np.abs(z - z.conj().T)) < 1e-15
+
+    @pytest.mark.parametrize("beta", (1e-8, 1e-5, 100.0))
+    def test_edge_beta_matches_closed_form(self, beta):
+        # the radial rule has a separate panel for the flat tail r ~ 1, so
+        # small beta neither stalls the gate nor misses the mass near E = 0
+        eig = np.sort(np.linalg.eigvalsh(zeta_matrix_oracle(3, beta)))
+        want = np.sort(np.concatenate(
+            [[e.lam] * e.multiplicity for e in spectrum(3, beta).entries]))
+        assert np.max(np.abs(eig - want)) < 1e-12
 
     def test_hermitian(self):
         z = zeta_matrix_oracle(2, 0.8)
         assert np.max(np.abs(z - z.conj().T)) < 1e-15
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            zeta_matrix_oracle(4, 1.0)
+        for n in (0, 9):
+            with pytest.raises(DomainError):
+                zeta_matrix_oracle(n, 1.0)
 
 
 class TestRelativeEntropy:
-    def test_mixed_state_closed_form(self):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_mixed_state_closed_form(self, n):
+        # rho^(x)n = I / 2^n, so the relative entropy is
+        # -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d}
         mixed = DensityMatrix2(r=0.0, theta=0.0, phi=0.0)
-        want = -2 * LN2 - 0.25 * (3 * math.log(0.3) + math.log(0.1))
-        got = relative_entropy_numeric(mixed, 2, 1.0)
+        want = -n * LN2 - 2.0**-n * math.fsum(
+            e.multiplicity * math.log(e.lam) for e in spectrum(n, 1.0).entries)
+        got = relative_entropy_numeric(mixed, n, 1.0)
         assert got == pytest.approx(want, abs=1e-8)
+
+    def test_mixed_state_n2_quoted_value(self):
+        want = -2 * LN2 - 0.25 * (3 * math.log(0.3) + math.log(0.1))
         assert want == pytest.approx(0.0923319, abs=1e-6)
+        assert relative_entropy_numeric(
+            DensityMatrix2(r=0.0, theta=0.0, phi=0.0), 2, 1.0) == \
+            pytest.approx(want, abs=1e-8)
 
     def test_mixed_state_n1_vanishes(self):
         mixed = DensityMatrix2(r=0.0, theta=0.0, phi=0.0)
@@ -132,7 +157,7 @@ class TestRelativeEntropy:
 
     def test_near_pure_state_nonnegative(self):
         rho = DensityMatrix2(r=0.999999, theta=0.8, phi=1.0)
-        for n in (1, 2, 3):
+        for n in range(1, 9):
             assert relative_entropy_numeric(rho, n, 1.0) >= 0
 
     def test_rotation_invariance(self):
