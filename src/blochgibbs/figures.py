@@ -15,15 +15,13 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError
 from .magnetics import brosseau_polarization, reduced_temperature
-from .models import (GibbsPoint, ModelKind, atanh_omega, integrated_density,
-                     mean_energy, mean_polarization, var_energy)
+from .models import (POWER_LAW_MODELS, GibbsPoint, ModelKind, atanh_omega,
+                     integrated_density, mean_energy, mean_polarization,
+                     var_energy)
 
 __all__ = ["FIGURE_IDS", "figure_table", "write_csv", "render_figure_csv"]
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-
-_FOUR = (ModelKind.QUATERNIONIC, ModelKind.COMPLEX, ModelKind.REAL,
-         ModelKind.CLASSICAL)
 
 _BETA_GRID = ("log", -2.0, 3.0, 400)
 _E0_GRID = ("log", -5.0, 1.7, 400)
@@ -68,20 +66,17 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
         betas = _grid(_BETA_GRID)
         header = ["beta", "quaternionic", "complex", "real", "classical",
                   "brosseau"]
-        rows = [
-            (b, *(mean_polarization(GibbsPoint(m, b)) for m in _FOUR),
-             brosseau_polarization(b))
-            for b in betas
-        ]
-        return header, rows
+        cols = [mean_polarization(GibbsPoint(m, betas))
+                for m in POWER_LAW_MODELS]
+        return header, list(zip(betas, *cols, map(brosseau_polarization, betas)))
 
     if fig_id in ("fig2", "fig3"):
         betas = _grid(_BETA_GRID)
         fn = mean_energy if fig_id == "fig2" else var_energy
         what = "mean_energy" if fig_id == "fig2" else "var_energy"
-        header = ["beta"] + [f"{what}_{m.value}" for m in _FOUR]
-        rows = [(b, *(fn(GibbsPoint(m, b)) for m in _FOUR)) for b in betas]
-        return header, rows
+        header = ["beta"] + [f"{what}_{m.value}" for m in POWER_LAW_MODELS]
+        cols = [fn(GibbsPoint(m, betas)) for m in POWER_LAW_MODELS]
+        return header, list(zip(betas, *cols))
 
     if fig_id == "fig4":
         e0s = _grid(_E0_GRID)
@@ -101,12 +96,9 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
     if fig_id == "fig5":
         betas = _grid(_BETA_GRID)
         header = ["beta", "kmb", "complex", "gap"]
-        rows = []
-        for b in betas:
-            pk = mean_polarization(GibbsPoint(ModelKind.KMB, b))
-            pc = mean_polarization(GibbsPoint(ModelKind.COMPLEX, b))
-            rows.append((b, pk, pc, pk - pc))
-        return header, rows
+        pk = mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+        pc = mean_polarization(GibbsPoint(ModelKind.COMPLEX, betas))
+        return header, list(zip(betas, pk, pc, pk - pc))
 
     # fig6: the log-log polarization/temperature relation
     betas = _grid(_BETA_GRID)

@@ -14,15 +14,13 @@ import numpy as np
 
 from . import duality, magnetics, models, oracles, priors, spectra, specfun
 from .errors import BracketingError
-from .models import GibbsPoint, ModelKind
+from .models import POWER_LAW_MODELS, GibbsPoint, ModelKind
 
 __all__ = ["Check", "SUITES", "run_suite", "run_verify"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN2 = math.log(2.0)
-_FOUR = (ModelKind.QUATERNIONIC, ModelKind.COMPLEX, ModelKind.REAL,
-         ModelKind.CLASSICAL)
-_FIVE = _FOUR + (ModelKind.KMB,)
+_FIVE = POWER_LAW_MODELS + (ModelKind.KMB,)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def _suite_models(seed: int = 12345) -> list[Check]:
 
     worst = 0.0
     for beta in (0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
-        for model in _FOUR:
+        for model in POWER_LAW_MODELS:
             mine = models.partition(GibbsPoint(model, beta))
             ref = _per_family_partition(model, beta)
             worst = max(worst, abs(mine - ref) / abs(ref))
@@ -170,9 +168,10 @@ def _suite_models(seed: int = 12345) -> list[Check]:
 
     ordered = True
     for beta in np.logspace(-2, 2, 25):
-        pols = [models.mean_polarization(GibbsPoint(m, beta)) for m in _FOUR]
-        eng = [models.mean_energy(GibbsPoint(m, beta)) for m in _FOUR]
-        var = [models.var_energy(GibbsPoint(m, beta)) for m in _FOUR]
+        points = [GibbsPoint(m, beta) for m in POWER_LAW_MODELS]
+        pols = [models.mean_polarization(p) for p in points]
+        eng = [models.mean_energy(p) for p in points]
+        var = [models.var_energy(p) for p in points]
         for seq in (pols, eng, var):
             ordered &= all(a > b for a, b in zip(seq, seq[1:]))
     checks.append(_flag("dominance_ordering_quat_complex_real_classical",

@@ -1,11 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blochgibbs import cli, verify
 from blochgibbs.figures import FIGURE_IDS, render_figure_csv
+from blochgibbs.models import (GibbsPoint, ModelKind, mean_energy,
+                               mean_polarization, partition, var_energy)
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +105,45 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--beta-min", "5",
                              "--beta-max", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("bounds", [
+        "--beta-max=inf", "--beta-max=nan", "--beta-min=nan",
+        "--beta-min=-inf", "--beta-min=0", "--beta-min=-1",
+    ])
+    @pytest.mark.parametrize("grid", [(), ("--linear",)])
+    def test_bad_bounds_are_usage_errors(self, capsys, bounds, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--model", "kmb",
+                                     bounds, *grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    def test_log_flag_removed(self, capsys):
+        code, _, _ = run_cli(capsys, "sweep", "--log")
+        assert code == 2
+
+    def test_linear_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--model", "real", "--linear",
+                               "--beta-min", "1", "--beta-max", "3",
+                               "--points", "5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        np.testing.assert_array_equal(rows[:, 0], [1.0, 1.5, 2.0, 2.5, 3.0])
+
+    def test_rows_equal_one_point_at_a_time(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--model", "kmb",
+                               "--beta-min", "1e-10", "--beta-max", "1e4",
+                               "--points", "29")
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            point = GibbsPoint(ModelKind.KMB, float(row[0]))
+            want = [op(point) for op in (partition, mean_energy, var_energy,
+                                         mean_polarization)]
+            assert list(row[1:]) == want
+        assert np.all(rows[:, 4] <= 1.0)
 
 
 class TestDualityCommand:

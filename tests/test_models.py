@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,97 @@ class TestMeanPolarization:
     def test_dominance_ordering(self, beta):
         vals = [mean_polarization(GibbsPoint(m, beta)) for m in POWER_LAW_MODELS]
         assert vals[0] > vals[1] > vals[2] > vals[3]
+
+    @pytest.mark.parametrize("beta", (1e-12, 1e-10, 1e-8))
+    def test_kmb_small_beta_not_above_one(self, beta):
+        # the 3F2 form rounded to 1.0000000000000013 at 1e-10 and
+        # 1.0000000000000009 at 1e-8; mpmath gives 1.0 and 0.9999999999999999
+        want = _benchmark_checks().mpmath_row("kmb", beta)[3]
+        for got in (mean_polarization(GibbsPoint(ModelKind.KMB, beta)),
+                    mean_polarization(GibbsPoint(ModelKind.KMB,
+                                                 np.array([beta])))[0]):
+            assert got <= 1.0
+            assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_never_above_one(self, model):
+        betas = np.logspace(-16, -4, 121)
+        assert np.all(mean_polarization(GibbsPoint(model, betas)) <= 1.0)
+        assert all(mean_polarization(GibbsPoint(model, b)) <= 1.0
+                   for b in betas.tolist())
+
+
+def _benchmark_checks():
+    """The benchmark's mpmath reference rows (perfbench/checks.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the whole documented beta range of the array path
+ARRAY_GRID = np.logspace(-10, 10, 401)
+
+
+class TestArrayBeta:
+    """Array beta against one scalar call per element."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("op", (partition, mean_energy, var_energy,
+                                    mean_polarization),
+                             ids=lambda f: f.__name__)
+    def test_matches_scalar_elementwise(self, model, op):
+        betas = ARRAY_GRID
+        if op is mean_polarization:
+            betas = np.concatenate(([0.0], betas))
+        got = op(GibbsPoint(model, betas))
+        want = np.array([op(GibbsPoint(model, b)) for b in betas.tolist()])
+        assert got.shape == betas.shape
+        # the same operations with math.exp and math.log per element: equal
+        # bit for bit, stricter than 1e-15 relative
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-10, max_value=1e10), min_size=1,
+                    max_size=12),
+           st.sampled_from(ALL_MODELS))
+    def test_property_matches_scalar(self, betas, model):
+        point = GibbsPoint(model, np.array(betas))
+        for op in (partition, mean_energy, var_energy, mean_polarization):
+            got = op(point)
+            for g, b in zip(got.tolist(), betas):
+                want = op(GibbsPoint(model, b))
+                assert abs(g - want) <= 1e-15 * abs(want)
+
+    def test_float_beta_stays_float(self):
+        for model in ALL_MODELS:
+            point = GibbsPoint(model, 0.7)
+            for op in (partition, mean_energy, var_energy, mean_polarization):
+                assert type(op(point)) is float
+        assert type(mean_polarization(GibbsPoint(ModelKind.KMB, 0.0))) is float
+
+    def test_beta_array_validated_and_frozen(self):
+        for bad in (np.array([1.0, -0.5]), np.array([1.0, math.nan]),
+                    np.array([math.inf]), np.ones((2, 2))):
+            with pytest.raises(DomainError):
+                GibbsPoint(ModelKind.COMPLEX, bad)
+        betas = np.array([0.5, 2.0])
+        point = GibbsPoint(ModelKind.COMPLEX, betas)
+        betas[0] = 7.0
+        assert point.beta[0] == 0.5
+        assert not point.beta.flags.writeable
+
+    def test_zero_beta_only_for_polarization(self):
+        point = GibbsPoint(ModelKind.KMB, np.array([0.0, 1.0]))
+        assert mean_polarization(point)[0] == 1.0
+        for op in (partition, mean_energy, var_energy):
+            with pytest.raises(DomainError):
+                op(point)
+
+    def test_pdf_rejects_array_beta(self):
+        with pytest.raises(DomainError):
+            pdf(GibbsPoint(ModelKind.COMPLEX, np.array([1.0, 2.0])), 0.5)
 
 
 class TestMeanEnergySeries:

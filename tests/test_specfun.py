@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochgibbs import specfun
 from blochgibbs.errors import ConvergenceError, DomainError
 from blochgibbs.specfun import (SeriesResult, digamma, hyp_pfq_at_1, log_gamma,
                                 log_gamma_signed, pochhammer, trigamma)
@@ -186,6 +189,15 @@ class TestHypPfqAtUnit:
         with pytest.raises(DomainError):
             hyp_pfq_at_1([0.5], [1.5], tol=0.0)
 
+    @pytest.mark.parametrize("a", [300.0, 600.0, 2000.0])
+    def test_late_decay_regime(self, a):
+        # 2F1(a, 1; a + 3/2; 1) = 2a + 1 (Gauss).  For a >= 256 the local
+        # decay exponent at the first boundary is below 1; the next block
+        # must still continue from the last term (it restarted from the
+        # first one and returned 3951.8 for a = 600).
+        res = hyp_pfq_at_1([a, 1.0], [a + 1.5], tol=1.0)
+        assert abs(res.value - (2.0 * a + 1.0)) <= 1.0
+
 
 class TestSeriesResult:
     def test_invariants_enforced(self):
@@ -193,3 +205,130 @@ class TestSeriesResult:
             SeriesResult(value=1.0, terms_used=0, tail_bound=0.0)
         with pytest.raises(ValueError):
             SeriesResult(value=1.0, terms_used=3, tail_bound=-1e-3)
+
+
+KERNELS = (log_gamma, digamma, trigamma)
+# beta itself and the shifted arguments the model formulas pass on
+KERNEL_GRID = np.concatenate([np.logspace(-10, 10, 401) + off
+                              for off in (0.0, 0.5, 1.5, 2.5)])
+
+
+class TestArrayKernels:
+    """The array path against the scalar path, element by element."""
+
+    @pytest.mark.parametrize("fn", KERNELS, ids=lambda f: f.__name__)
+    def test_matches_scalar_elementwise(self, fn):
+        got = fn(KERNEL_GRID)
+        want = np.array([fn(x) for x in KERNEL_GRID.tolist()])
+        assert got.shape == KERNEL_GRID.shape
+        # same operations and the same math.log: equal bit for bit, which
+        # is stricter than the 1e-15 relative the models rely on
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-10, max_value=1e10), min_size=1,
+                    max_size=30),
+           st.sampled_from(KERNELS))
+    def test_property_matches_scalar(self, xs, fn):
+        got = fn(np.array(xs))
+        for g, x in zip(got.tolist(), xs):
+            want = fn(x)
+            assert abs(g - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("fn", KERNELS, ids=lambda f: f.__name__)
+    def test_shape_kept(self, fn):
+        x = np.array([[0.3, 2.0], [7.5, 40.0]])
+        assert fn(x).shape == (2, 2)
+        assert fn(np.array(2.0)).shape == ()
+        assert fn(np.array([])).shape == (0,)
+        assert x[0, 0] == 0.3  # the argument is not shifted in place
+
+    @pytest.mark.parametrize("fn", KERNELS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_bad_element_rejected(self, fn, bad):
+        with pytest.raises(DomainError):
+            fn(np.array([1.0, bad, 3.0]))
+
+    @pytest.mark.parametrize("fn", KERNELS, ids=lambda f: f.__name__)
+    def test_float_stays_float(self, fn):
+        assert type(fn(2.5)) is float
+        assert type(fn(0.01)) is float
+
+    def test_huge_argument_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in KERNELS:
+                got = fn(np.array([1e200, 1e-200]))
+                assert got[0] == fn(1e200)
+
+
+# KMB-like rows: direct (beta >= 3) and Thomae-mapped rows, plus one
+# terminating row, all with three numerators and two denominators
+_BATCH_BETAS = (0.01, 0.7, 2.9, 3.0, 12.0, 1e3)
+
+
+def _batch_rows():
+    rows = []
+    for b in _BATCH_BETAS:
+        if b >= 3.0:
+            rows.append(([0.5, 1.0, 2.0], [1.5, 2.0 + b], 1e-12))
+        else:
+            rows.append(([-0.5, b, b], [1.0 + b, 0.5 + b], 1e-11))
+    rows.append(([-3.0, 0.5, 1.0], [1.5, 2.0], 1e-12))
+    return rows
+
+
+def _batch_call(rows):
+    nums = [np.array([r[0][i] for r in rows]) for i in range(3)]
+    dens = [np.array([r[1][j] for r in rows]) for j in range(2)]
+    return hyp_pfq_at_1(nums, dens, np.array([r[2] for r in rows]))
+
+
+class TestHypPfqBatch:
+    def test_rows_equal_one_row_calls(self):
+        rows = _batch_rows()
+        batch = _batch_call(rows)
+        singles = [hyp_pfq_at_1(n, d, tol) for n, d, tol in rows]
+        np.testing.assert_array_equal(batch.value, [r.value for r in singles])
+        np.testing.assert_array_equal(batch.tail_bound,
+                                      [r.tail_bound for r in singles])
+        assert batch.terms_used == sum(r.terms_used for r in singles)
+        assert type(batch.terms_used) is int
+
+    def test_scalar_call_types(self):
+        res = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 3.0], tol=1e-12)
+        assert type(res.value) is float
+        assert type(res.tail_bound) is float
+        assert type(res.terms_used) is int
+
+    def test_floats_broadcast_against_arrays(self):
+        b2 = np.array([2.3, 5.5])
+        batch = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, b2], 1e-10)
+        for i, b in enumerate(b2.tolist()):
+            assert batch.value[i] == hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, b],
+                                                  1e-10).value
+
+    def test_row_slices_give_the_same_sums(self, monkeypatch):
+        # a block cap far below rows x block length forces one slice of
+        # rows per work array; the arithmetic per row must not change
+        rows = _batch_rows()
+        whole = _batch_call(rows)
+        monkeypatch.setattr(specfun, "_BLOCK_ELEMENTS", 1024)
+        sliced = _batch_call(rows)
+        np.testing.assert_array_equal(whole.value, sliced.value)
+        assert whole.terms_used == sliced.terms_used
+
+    def test_bad_rows_rejected(self):
+        b2 = np.array([3.0, 4.0])
+        with pytest.raises(DomainError):
+            hyp_pfq_at_1([0.5, 1.0], [b2], np.array([1e-10, 0.0]))
+        with pytest.raises(DomainError):
+            hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, -2.0])], 1e-10)
+        with pytest.raises(DomainError):
+            hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, 4.0, 5.0])],
+                         np.array([1e-10, 1e-10]))
+        with pytest.raises(DomainError):
+            hyp_pfq_at_1([0.5, 1.0], [np.array([])], 1e-10)
+        with pytest.raises(ConvergenceError):
+            # second row: excess 1.5 - 1.5 = 0
+            hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, 1.5])], 1e-10)
