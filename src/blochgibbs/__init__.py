@@ -17,8 +17,8 @@ from .models import (EnergyValue, GibbsPoint, ModelKind, approx_beta_large,
                      modal_beta_estimate, partition, pdf,
                      polarization_asymptotic, reflection_identity_residual,
                      structure_function, var_energy)
-from .oracles import (DensityMatrix2, QuadratureResult, integrate_semiinfinite,
-                      page_reduced_state, sample_energy)
+from .oracles import DensityMatrix2, page_reduced_state, sample_energy
+from .quadrature import QuadratureResult, integrate_semiinfinite
 from .specfun import (SeriesResult, digamma, hyp_pfq_at_1, log_gamma,
                       pochhammer, trigamma)
 

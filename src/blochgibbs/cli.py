@@ -17,20 +17,10 @@ import numpy as np
 
 from . import duality, figures, magnetics, spectra, verify
 from .errors import BracketingError, ConvergenceError, DomainError
-from .models import (GibbsPoint, ModelKind, mean_energy, mean_polarization,
-                     partition, var_energy)
+from .models import (POWER_LAW_MODELS, GibbsPoint, ModelKind, mean_energy,
+                     mean_polarization, partition, var_energy)
 
 __all__ = ["main", "build_parser"]
-
-_MODEL_ALIASES = {
-    "real": ModelKind.REAL,
-    "complex": ModelKind.COMPLEX,
-    "quat": ModelKind.QUATERNIONIC,
-    "quaternionic": ModelKind.QUATERNIONIC,
-    "class": ModelKind.CLASSICAL,
-    "classical": ModelKind.CLASSICAL,
-    "kmb": ModelKind.KMB,
-}
 
 
 class _UsageError(Exception):
@@ -38,11 +28,11 @@ class _UsageError(Exception):
 
 
 def _parse_model(name: str) -> ModelKind:
-    try:
-        return _MODEL_ALIASES[name]
-    except KeyError:
-        raise _UsageError(f"unknown model {name!r}; choose from "
-                          f"{sorted(set(_MODEL_ALIASES))}") from None
+    for kind in ModelKind:
+        if name in kind.cli_names:
+            return kind
+    raise _UsageError(f"unknown model {name!r}; choose from "
+                      f"{sorted(n for kind in ModelKind for n in kind.cli_names)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,12 +166,10 @@ def _cmd_solve(args) -> int:
     beta_st, e_st = spectra.solve_stationary_point()
     crossings = {
         model.value: magnetics.intersect_brosseau(model).beta_star
-        for model in (ModelKind.QUATERNIONIC, ModelKind.COMPLEX,
-                      ModelKind.REAL, ModelKind.CLASSICAL)
+        for model in POWER_LAW_MODELS
     }
     density_crossings = {}
-    for model in (ModelKind.CLASSICAL, ModelKind.REAL, ModelKind.COMPLEX,
-                  ModelKind.QUATERNIONIC):
+    for model in reversed(POWER_LAW_MODELS):
         try:
             density_crossings[model.value] = magnetics.kmb_density_crossing(model)
         except BracketingError:

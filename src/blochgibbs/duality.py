@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError
-from .models import (GibbsPoint, ModelKind, mean_energy, omega_complex,
+from .models import (GibbsPoint, ModelKind, _exp, mean_energy, omega_complex,
                      partition, var_energy)
 from .specfun import digamma, trigamma
 
@@ -29,9 +29,6 @@ __all__ = [
     "var_beta_closed",
     "prior_over_meanE",
 ]
-
-_DUAL_C = {ModelKind.COMPLEX: 3.0, ModelKind.QUATERNIONIC: 5.0}
-
 
 @dataclass(frozen=True)
 class DualExperimentReport:
@@ -47,22 +44,35 @@ class DualExperimentReport:
 
 
 def _check_dual_args(model: ModelKind, meanE: float):
-    if model not in _DUAL_C:
+    if model not in (ModelKind.COMPLEX, ModelKind.QUATERNIONIC):
         raise DomainError(f"dual density is defined for complex/quaternionic, got {model}")
     if not math.isfinite(meanE) or meanE <= 0:
         raise DomainError("meanE must be positive")
 
 
-def dual_density(model: ModelKind, meanE: float, beta: float) -> float:
-    """Unnormalized dual density value at beta (var evaluated at beta)."""
+def dual_density(model: ModelKind, meanE: float, beta):
+    """Unnormalized dual density at beta (var evaluated at beta), with
+    c = 2 half_dof: 3 for the complex family, 5 for the quaternionic.
+
+    beta is a float or a 1-D float ndarray whose every element is finite
+    and > 0 (else DomainError); an array returns one value per element,
+    each equal to the float result bit for bit (the array paths of
+    ``models`` and ``math.exp`` per element).  The accuracy is that of
+    ``partition`` and ``var_energy``, a few ulps relative.
+    """
     _check_dual_args(model, meanE)
-    if not math.isfinite(beta) or beta <= 0:
+    if isinstance(beta, np.ndarray):
+        ok = beta.ndim == 1 and bool(np.all((beta > 0) & (beta < math.inf)))
+    else:
+        ok = math.isfinite(beta) and beta > 0
+    if not ok:
         raise DomainError("beta must be positive")
-    c = _DUAL_C[model]
+    c = 2.0 * model.half_dof
     point = GibbsPoint(model, beta)
     ref = GibbsPoint(model, c / (2.0 * meanE))
-    return (0.5 * c * math.exp(-beta * meanE) * math.sqrt(var_energy(point))
-            * partition(ref) / partition(point))
+    value = (0.5 * c * _exp(-beta * meanE) * np.sqrt(var_energy(point))
+             * partition(ref) / partition(point))
+    return value if isinstance(beta, np.ndarray) else float(value)
 
 
 def run_duality_experiment(model: ModelKind, meanE: float,
@@ -73,22 +83,14 @@ def run_duality_experiment(model: ModelKind, meanE: float,
     f = lambda b: dual_density(model, meanE, b)
     # e^(-beta <E>) is already ~1e-870 at the truncation point
     upper = 2000.0 / meanE
-    norm = quadrature.integrate_interval(lambda b: _vec(f, b), 0.0, upper,
-                                         tol=tol).value
-    first = quadrature.integrate_interval(lambda b: b * _vec(f, b), 0.0, upper,
+    norm = quadrature.integrate_interval(f, 0.0, upper, tol=tol).value
+    first = quadrature.integrate_interval(lambda b: b * f(b), 0.0, upper,
                                           tol=tol).value
     mean_beta = first / norm
     rt = mean_energy(GibbsPoint(model, mean_beta))
     return DualExperimentReport(target_meanE=meanE, normalizer=norm,
                                 mean_beta=mean_beta, roundtrip_meanE=rt,
                                 model=model)
-
-
-def _vec(f, x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return f(float(x))
-    return np.array([f(v) for v in x])
 
 
 def mean_beta_closed(meanE: float) -> float:

@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from . import quadrature
 from .errors import DomainError
 from .magnetics import brosseau_polarization, reduced_temperature
-from .models import (POWER_LAW_MODELS, GibbsPoint, ModelKind, atanh_omega,
+from .models import (POWER_LAW_MODELS, GibbsPoint, ModelKind,
                      integrated_density, mean_energy, mean_polarization,
                      var_energy)
 
@@ -30,31 +29,6 @@ _E0_GRID = ("log", -5.0, 1.7, 400)
 def _grid(spec) -> np.ndarray:
     kind, lo, hi, n = spec
     return np.logspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
-
-
-def _kmb_density_grid(e0s: np.ndarray) -> list[float]:
-    """Cumulative quadrature of the KMB structure function along the grid.
-
-    Segment-by-segment integration (t = sqrt(E) on the first segment,
-    where the integrand has its sqrt cusp) keeps the 400-point sweep at a
-    few thousand panel evaluations instead of 400 full restarts.
-    """
-    out = []
-    acc = 0.0
-    prev = 0.0
-    for e0 in e0s:
-        if e0 > prev:
-            if prev == 0.0:
-                res = quadrature.integrate_interval(
-                    lambda t: 4.0 * t * atanh_omega(t * t),
-                    0.0, math.sqrt(e0), tol=1e-12)
-            else:
-                res = quadrature.integrate_interval(
-                    lambda E: 2.0 * atanh_omega(E), prev, e0, tol=1e-12)
-            acc += res.value
-            prev = e0
-        out.append(acc)
-    return out
 
 
 def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
@@ -81,17 +55,8 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
     if fig_id == "fig4":
         e0s = _grid(_E0_GRID)
         header = ["e0", "complex", "quaternionic", "real", "classical", "kmb"]
-        kmb = _kmb_density_grid(e0s)
-        rows = [
-            (e0,
-             integrated_density(ModelKind.COMPLEX, e0),
-             integrated_density(ModelKind.QUATERNIONIC, e0),
-             integrated_density(ModelKind.REAL, e0),
-             integrated_density(ModelKind.CLASSICAL, e0),
-             kmb[i])
-            for i, e0 in enumerate(e0s)
-        ]
-        return header, rows
+        cols = [integrated_density(ModelKind(name), e0s) for name in header[1:]]
+        return header, list(zip(e0s, *cols))
 
     if fig_id == "fig5":
         betas = _grid(_BETA_GRID)

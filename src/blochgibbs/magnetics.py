@@ -92,10 +92,9 @@ def intersect_brosseau(model: ModelKind) -> IntersectionReport:
                               residual=float(f(root)))
 
 
-def kmb_density_crossing(model: ModelKind,
-                         e_lo: float = 1e-7, e_hi: float = 60.0) -> float:
+def kmb_density_crossing(model: ModelKind) -> float:
     """E0 at which the KMB integrated density of states crosses another
-    family's.
+    family's, scanned on 600 log-spaced points over [1e-7, 60].
 
     Crossings exist against the classical and real families only; for the
     complex and quaternionic curves the difference is strictly positive
@@ -108,7 +107,7 @@ def kmb_density_crossing(model: ModelKind,
     def diff(e0):
         return integrated_density(ModelKind.KMB, e0) - integrated_density(model, e0)
 
-    lo, hi = rootfind.scan_bracket(diff, e_lo, e_hi, points=600)
+    lo, hi = rootfind.scan_bracket(diff, 1e-7, 60.0, points=600)
     return float(rootfind.brent(diff, lo, hi, xtol=1e-12))
 
 

@@ -1,10 +1,11 @@
 """Independent verification machinery.
 
-Three oracles that deliberately avoid the closed forms they are used to
-check: adaptive quadrature on [0, inf), an inverse-CDF Gibbs sampler
-(bisection against the numerically integrated density), and the
+Two oracles that deliberately avoid the closed forms they are used to
+check: an inverse-CDF Gibbs sampler (bisection against the numerically
+integrated density, through ``quadrature.panel_integrals``), and the
 partial-trace Monte Carlo that reduces Haar-random bipartite pure states
-to 2x2 density matrices.
+to 2x2 density matrices.  The sampler takes its density from ``models``;
+adaptive quadrature lives in ``quadrature``.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ import numpy as np
 from . import models
 from .errors import DomainError
 from .models import GibbsPoint, ModelKind
-from .quadrature import QuadratureResult, integrate_interval, integrate_semiinfinite
+from .quadrature import panel_integrals
 
 __all__ = [
-    "QuadratureResult",
-    "integrate_interval",
-    "integrate_semiinfinite",
     "DensityMatrix2",
     "EnergyInverter",
     "sample_energy",
@@ -94,36 +92,32 @@ class DensityMatrix2:
 class EnergyInverter:
     """Numeric CDF of a Gibbs family and its inverse.
 
-    The density is integrated once on a fine grid in t = sqrt(E) (the
+    The density 2t e^(-beta t^2) Omega(t^2) / Z of t = sqrt(E) (the
     substitution removes the classical family's E^(-1/2) endpoint
-    singularity); quantiles are then located by bisection inside the
-    bracketing grid panel, with the sub-panel integral supplied by
-    Simpson's rule on the smooth transformed integrand.
+    singularity; Omega is ``models.structure_function``) is integrated
+    once over 4096 equal panels by the Kronrod-15 rule; quantiles are then
+    located by bisection inside the bracketing grid panel, with the
+    sub-panel integral supplied by Simpson's rule on the smooth
+    transformed integrand.
     """
 
+    _GRID_SIZE = 4096
     _SIMPSON_TOL = 1e-10  # bisection window in E units
 
-    def __init__(self, point: GibbsPoint, grid_size: int = 4096):
+    def __init__(self, point: GibbsPoint):
         if point.beta <= 0:
             raise DomainError("sampling requires beta > 0")
         self.point = point
         beta = point.beta
         e_up = max(50.0, 60.0 / beta)
         self._T = math.sqrt(e_up)
-        self._t = np.linspace(0.0, self._T, grid_size + 1)
+        self._t = np.linspace(0.0, self._T, self._GRID_SIZE + 1)
         z = models.partition(point)
-        om_exp = point.model.omega_exponent
 
         def g(t):
             t = np.asarray(t, dtype=float)
             E = t * t
-            if point.model is ModelKind.KMB:
-                om = 2.0 * models.atanh_omega(E)
-            elif om_exp == 0:
-                om = np.ones_like(E)
-            else:
-                with np.errstate(divide="ignore"):
-                    om = models.omega_complex(E) ** (2.0 * om_exp)
+            om = models.structure_function(point.model, E)
             with np.errstate(invalid="ignore"):
                 out = 2.0 * t * np.exp(-beta * E) * om / z
             # classical integrand 2t * E^(-1/2) -> 2 at t = 0
@@ -132,15 +126,7 @@ class EnergyInverter:
             return out
 
         self._g = g
-        # per-panel Gauss-Kronrod integrals, accumulated into a CDF grid
-        lo = self._t[:-1]
-        hi = self._t[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        from .quadrature import _NODES, _WEIGHTS_K  # 15-point rule
-        nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-        panel = (g(nodes) @ _WEIGHTS_K) * half
-        cdf = np.concatenate(([0.0], np.cumsum(panel)))
+        cdf = np.concatenate(([0.0], np.cumsum(panel_integrals(g, self._t))))
         self._total = cdf[-1]
         self._cdf = cdf / self._total  # self-normalized: CDF(T) = 1 exactly
 
@@ -183,9 +169,9 @@ class EnergyInverter:
         return t * t
 
 
-def energy_cdf(point: GibbsPoint, E, grid_size: int = 4096):
+def energy_cdf(point: GibbsPoint, E):
     """Numeric CDF of the Gibbs energy law (vectorized over E)."""
-    return EnergyInverter(point, grid_size).cdf(E)
+    return EnergyInverter(point).cdf(E)
 
 
 def sample_energy(point: GibbsPoint, rng_seed: int, count: int) -> np.ndarray:

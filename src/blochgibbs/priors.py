@@ -32,47 +32,26 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class PriorTag(enum.Enum):
-    COMPLEX_Q = "complex_q"
-    QUAT_Q = "quat_q"
-    REAL_Q = "real_q"
-    CLASS_Q = "class_q"
-    KMB_Q = "kmb_q"
+    """The five prior families, one record each: the tag, the Gibbs family
+    it maps onto, the number of angles beyond the radius (theta, phi on the
+    ball; theta1..theta3, phi on the 5-ball; phi on the disk; none on the
+    interval) and the total mass of the angular measure, used when folding
+    the angles into the radial marginal."""
 
-    @property
-    def model(self) -> ModelKind:
-        return _TAG_TO_MODEL[self]
+    COMPLEX_Q = "complex_q", ModelKind.COMPLEX, 2, 4.0 * math.pi
+    QUAT_Q = "quat_q", ModelKind.QUATERNIONIC, 4, 8.0 * math.pi**2 / 3.0
+    REAL_Q = "real_q", ModelKind.REAL, 1, 2.0 * math.pi
+    CLASS_Q = "class_q", ModelKind.CLASSICAL, 0, 1.0
+    KMB_Q = "kmb_q", ModelKind.KMB, 2, 4.0 * math.pi
 
-    @property
-    def angle_count(self) -> int:
-        return _ANGLE_COUNT[self]
-
-
-_TAG_TO_MODEL = {
-    PriorTag.COMPLEX_Q: ModelKind.COMPLEX,
-    PriorTag.QUAT_Q: ModelKind.QUATERNIONIC,
-    PriorTag.REAL_Q: ModelKind.REAL,
-    PriorTag.CLASS_Q: ModelKind.CLASSICAL,
-    PriorTag.KMB_Q: ModelKind.KMB,
-}
-
-# (r, theta..., phi) coordinate counts beyond the radius
-_ANGLE_COUNT = {
-    PriorTag.COMPLEX_Q: 2,   # theta, phi
-    PriorTag.QUAT_Q: 4,      # theta1, theta2, theta3, phi
-    PriorTag.REAL_Q: 1,      # phi
-    PriorTag.CLASS_Q: 0,
-    PriorTag.KMB_Q: 2,       # theta, phi
-}
-
-# total mass of the angular measure; used when folding angles into the
-# radial marginal
-_ANGULAR_VOLUME = {
-    PriorTag.COMPLEX_Q: 4.0 * math.pi,
-    PriorTag.QUAT_Q: 8.0 * math.pi**2 / 3.0,
-    PriorTag.REAL_Q: 2.0 * math.pi,
-    PriorTag.CLASS_Q: 1.0,
-    PriorTag.KMB_Q: 4.0 * math.pi,
-}
+    def __new__(cls, tag: str, model: ModelKind, angle_count: int,
+                angular_volume: float):
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.model = model
+        member.angle_count = angle_count
+        member.angular_volume = angular_volume
+        return member
 
 
 @dataclass(frozen=True)
@@ -160,7 +139,7 @@ def radial_density(kind: PriorKind, r: float) -> float:
     """Marginal density in r after integrating out every angle."""
     _check_r(r)
     tag = kind.tag
-    vol = _ANGULAR_VOLUME[tag]
+    vol = tag.angular_volume
     if tag is PriorTag.CLASS_Q:
         return prior_density(kind, r)
     if tag is PriorTag.REAL_Q:
@@ -218,7 +197,7 @@ def dirichlet_density(u: float, X: float, Y: float, Z: float) -> float:
 
 def prior_for_model(model: ModelKind, beta: float) -> PriorKind:
     """The PriorKind matching a Gibbs family at the given beta (u = 1-beta)."""
-    tag = {v: k for k, v in _TAG_TO_MODEL.items()}[model]
+    tag = next(t for t in PriorTag if t.model is model)
     return PriorKind(tag=tag, u=1.0 - beta)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["QuadratureResult", "integrate_interval", "integrate_semiinfinite"]
+__all__ = ["QuadratureResult", "integrate_interval", "integrate_semiinfinite",
+           "panel_integrals"]
 
 # Kronrod-15 abscissae on [-1, 1] (positive half) and weights; the odd
 # entries carry the embedded Gauss-7 rule.
@@ -53,6 +54,8 @@ _WEIGHTS_K = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 
+_MAX_SUBDIVISIONS = 10**4
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -79,9 +82,24 @@ def _gk15(f, a, b):
     return k, abs(k - g)
 
 
-def integrate_interval(f, a: float, b: float, tol: float,
-                       max_subdivisions: int = 10**4) -> QuadratureResult:
-    """Adaptive GK7/15 integration of f over [a, b] to absolute tolerance."""
+def panel_integrals(f, edges: np.ndarray) -> np.ndarray:
+    """Kronrod-15 integral of f over each panel [edges[i], edges[i+1]].
+
+    f is called once, on the (panels, 15) array of every node, and must
+    return an array of that shape.  No error estimate and no refinement:
+    the caller chooses panels narrow enough for the rule to be exact to
+    its needs.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
+    return (f(nodes) @ _WEIGHTS_K) * half
+
+
+def integrate_interval(f, a: float, b: float, tol: float) -> QuadratureResult:
+    """Adaptive GK7/15 integration of f over [a, b] to absolute tolerance;
+    QuadratureError after 10^4 bisections."""
     if not (math.isfinite(a) and math.isfinite(b)) or b < a:
         raise DomainError(f"bad interval [{a}, {b}]")
     if tol <= 0:
@@ -93,7 +111,7 @@ def integrate_interval(f, a: float, b: float, tol: float,
     total_err = err
     evals = 15
     n = 1
-    while total_err > tol and n < max_subdivisions:
+    while total_err > tol and n < _MAX_SUBDIVISIONS:
         neg_err, lo, hi, v = heapq.heappop(heap)
         total_err += neg_err  # removes the panel's error
         mid = 0.5 * (lo + hi)

@@ -65,14 +65,14 @@ def brent(f, a: float, b: float, xtol: float = 1e-13, maxiter: int = 200) -> flo
                            best_estimate=b)
 
 
-def scan_bracket(f, lo: float, hi: float, points: int = 400, log: bool = True):
-    """First sign-change subinterval of f on a scan grid, or BracketingError.
+def scan_bracket(f, lo: float, hi: float, points: int = 400):
+    """First sign-change subinterval of f on a log-spaced scan grid over
+    [lo, hi] (0 < lo < hi), or BracketingError.
 
     The error message reports the smallest |f| seen, which is what a caller
     needs to document a genuinely rootless curve difference.
     """
-    grid = np.logspace(math.log10(lo), math.log10(hi), points) if log \
-        else np.linspace(lo, hi, points)
+    grid = np.logspace(math.log10(lo), math.log10(hi), points)
     vals = np.array([f(x) for x in grid])
     sign = np.sign(vals)
     change = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]

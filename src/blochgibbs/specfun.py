@@ -10,7 +10,7 @@ tends to 1 and the tail decays only algebraically.
 Accuracy targets (absolute unless noted):
     log_gamma   1e-12 relative to max(1, |ln Gamma|)
     digamma     1e-11 on (0, 1e6]
-    trigamma    1e-10 on (0, 1e6]
+    trigamma    1e-10 on [2**-511, 1e6]; DomainError below 2**-511
 
 Arrays: log_gamma, digamma and trigamma also take a float ndarray, and
 hyp_pfq_at_1 sums a batch of series given as parameter arrays.  Each
@@ -78,6 +78,10 @@ _BERNOULLI = (
 
 _SHIFT_GAMMA = 10.0
 _SHIFT_PSI = 6.0
+# smallest x with x*x a normal double, so 1/(x*x) is finite
+_TRIGAMMA_FLOOR = 2.0**-511
+_TRIGAMMA_FLOOR_MSG = ("trigamma requires x >= 2**-511 (about 1.49e-154), "
+                       "got {!r}")
 
 # Unit-argument series: first block length (later blocks double the sum),
 # term budget, and float64 per work array of a block (two are live).
@@ -218,13 +222,20 @@ def digamma(x: float | np.ndarray) -> float | np.ndarray:
 
 
 def trigamma(x: float | np.ndarray) -> float | np.ndarray:
-    """psi'(x) for x > 0; a float or a float ndarray, on the same two paths
-    as :func:`log_gamma`.  No logarithm enters, so the two paths agree
-    exactly."""
+    """psi'(x) for x >= 2**-511 (about 1.5e-154); a float or a float
+    ndarray, on the same two paths as :func:`log_gamma`.  No logarithm
+    enters, so the two paths agree exactly.  Below the floor x*x is no
+    longer a normal double and psi'(x) ~ 1/x^2 overflows, so a smaller
+    positive x raises DomainError on both paths."""
     if isinstance(x, np.ndarray):
+        tiny = x[(x > 0) & (x < _TRIGAMMA_FLOOR)]
+        if tiny.size:
+            raise DomainError(_TRIGAMMA_FLOOR_MSG.format(float(tiny.flat[0])))
         x, acc, z = _shift_up(x, "trigamma", _SHIFT_PSI, lambda v: 1.0 / (v * v))
     else:
         _require_positive(x, "trigamma")
+        if x < _TRIGAMMA_FLOOR:
+            raise DomainError(_TRIGAMMA_FLOOR_MSG.format(x))
         acc = 0.0
         while x < _SHIFT_PSI:
             acc += 1.0 / (x * x)

@@ -19,8 +19,8 @@ from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                omega_complex, partition, pdf,
                                polarization_asymptotic, structure_function,
                                var_energy)
-from blochgibbs.oracles import (energy_cdf, integrate_semiinfinite,
-                                page_energy_samples, sample_energy)
+from blochgibbs.oracles import energy_cdf, page_energy_samples, sample_energy
+from blochgibbs.quadrature import integrate_semiinfinite
 from blochgibbs.duality import run_duality_experiment
 from blochgibbs.spectra import (solve_maximin_beta, solve_stationary_point,
                                 spectrum, spin_sum_polarization,

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,57 @@ class TestSweepCommand:
                                          mean_polarization)]
             assert list(row[1:]) == want
         assert np.all(rows[:, 4] <= 1.0)
+
+    def test_beta_below_trigamma_floor_is_numerical_failure(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--model", "complex",
+                                     "--beta-min", "1e-200",
+                                     "--beta-max", "1e-190")
+        assert code == 3
+        assert out == ""
+        assert "2**-511" in err
+
+    @pytest.mark.parametrize("name, kind", [
+        ("real", ModelKind.REAL), ("complex", ModelKind.COMPLEX),
+        ("quat", ModelKind.QUATERNIONIC),
+        ("quaternionic", ModelKind.QUATERNIONIC),
+        ("class", ModelKind.CLASSICAL), ("classical", ModelKind.CLASSICAL),
+        ("kmb", ModelKind.KMB),
+    ])
+    def test_model_names(self, capsys, name, kind):
+        argv = ("sweep", "--beta-min", "1", "--beta-max", "2", "--points", "2")
+        _, by_name, _ = run_cli(capsys, *argv, "--model", name)
+        _, by_value, _ = run_cli(capsys, *argv, "--model", kind.value)
+        assert by_name == by_value != ""
+
+    def test_unknown_model_lists_names(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--model", "octonionic")
+        assert code == 2 and out == ""
+        assert ("['class', 'classical', 'complex', 'kmb', 'quat', "
+                "'quaternionic', 'real']") in err
+
+
+REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+
+
+class TestReferenceOutputs:
+    """Figure, sweep and spectrum output pinned byte for byte."""
+
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_figure(self, fig_id):
+        want = (REF / f"{fig_id}.csv").read_text()
+        assert render_figure_csv(fig_id) == want
+
+    @pytest.mark.parametrize("argv, name", [
+        (("sweep", "--model", "kmb", "--points", "400"), "sweep_kmb_400.csv"),
+        (("spectrum", "--n", "12", "--beta", "1.0"),
+         "spectrum_n12_beta1.json"),
+    ])
+    def test_command(self, capsys, argv, name):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (REF / name).read_text()
 
 
 class TestDualityCommand:

@@ -47,6 +47,21 @@ class TestDualDensity:
         with pytest.raises(DomainError):
             dual_density(ModelKind.COMPLEX, 16.3, 0.0)
 
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
+                                       ModelKind.QUATERNIONIC])
+    def test_array_equals_float_path(self, model):
+        betas = np.concatenate((np.logspace(-6, 2.1, 300), [122.7]))
+        got = dual_density(model, 16.3, betas)
+        assert got.tolist() == [dual_density(model, 16.3, float(b))
+                                for b in betas]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_array_element_outside_domain_rejected(self, bad):
+        with pytest.raises(DomainError):
+            dual_density(ModelKind.COMPLEX, 16.3, np.array([0.5, bad]))
+        with pytest.raises(DomainError):
+            dual_density(ModelKind.COMPLEX, 16.3, np.array([[0.5, 1.0]]))
+
 
 class TestRoundTripExperiment:
     def test_complex_paper_point(self):

@@ -18,7 +18,7 @@ from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                polarization_asymptotic,
                                reflection_identity_residual,
                                structure_function, var_energy)
-from blochgibbs.oracles import integrate_semiinfinite
+from blochgibbs.quadrature import integrate_semiinfinite
 
 LN2 = math.log(2.0)
 ALL_MODELS = POWER_LAW_MODELS + (ModelKind.KMB,)
@@ -401,6 +401,39 @@ class TestIntegratedDensity:
     def test_domain(self):
         with pytest.raises(DomainError):
             integrated_density(ModelKind.COMPLEX, -1.0)
+
+    @pytest.mark.parametrize("model", POWER_LAW_MODELS)
+    def test_array_equals_float_path(self, model):
+        e0s = np.logspace(-5, 1.7, 400)
+        got = integrated_density(model, e0s)
+        want = [integrated_density(model, float(e)) for e in e0s]
+        assert got.shape == e0s.shape
+        assert got.tolist() == want
+
+    def test_kmb_array_is_cumulative_float_rule(self):
+        e0s = np.logspace(-5, 1.7, 400)
+        got = integrated_density(ModelKind.KMB, e0s)
+        want = np.array([integrated_density(ModelKind.KMB, float(e))
+                         for e in e0s])
+        assert got[0] == want[0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_array_may_start_at_zero_and_repeat(self):
+        e0s = np.array([0.0, 0.0, 0.5, 0.5, 2.0])
+        for model in ALL_MODELS:
+            got = integrated_density(model, e0s)
+            assert got[0] == got[1] == 0.0 and got[2] == got[3]
+            assert got[4] == pytest.approx(integrated_density(model, 2.0),
+                                           abs=1e-10)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("e0s", [
+        np.array([1.0, 0.5]), np.array([-1.0, 0.5]), np.array([0.5, math.inf]),
+        np.array([0.5, math.nan]), np.array([[0.1, 0.2]]), np.array(0.5),
+    ], ids=["decreasing", "negative", "inf", "nan", "2-D", "0-d"])
+    def test_bad_array_rejected(self, model, e0s):
+        with pytest.raises(DomainError):
+            integrated_density(model, e0s)
 
 
 class TestModalEstimates:

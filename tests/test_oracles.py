@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate as sci
 
 from blochgibbs.errors import DomainError
-from blochgibbs.models import GibbsPoint, ModelKind, mean_energy, pdf, var_energy
+from blochgibbs.models import (GibbsPoint, ModelKind, mean_energy, partition,
+                               pdf, var_energy)
 from blochgibbs.oracles import (DensityMatrix2, EnergyInverter, energy_cdf,
-                                integrate_interval, integrate_semiinfinite,
                                 page_energy_samples, page_reduced_state,
                                 sample_energy)
+from blochgibbs.quadrature import integrate_interval, integrate_semiinfinite
 
 
 class TestIntegrateSemiInfinite:
@@ -136,6 +137,22 @@ class TestEnergySampler:
     def test_requires_positive_beta(self):
         with pytest.raises(DomainError):
             sample_energy(GibbsPoint(ModelKind.COMPLEX, 0.0), 1, 10)
+
+
+class TestInverterDensity:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_is_two_t_times_models_pdf(self, model):
+        point = GibbsPoint(model, 0.7)
+        inv = EnergyInverter(point)
+        t = np.linspace(0.01, 6.0, 301)
+        np.testing.assert_allclose(inv._g(t), 2.0 * t * pdf(point, t * t),
+                                   rtol=1e-15, atol=0)
+
+    def test_classical_limit_at_origin(self):
+        point = GibbsPoint(ModelKind.CLASSICAL, 0.7)
+        got = EnergyInverter(point)._g(np.array([0.0, 1e-8]))
+        assert got[0] == 2.0 / partition(point)
+        assert got[1] == pytest.approx(got[0], rel=1e-12)
 
 
 class TestPageReducedState:

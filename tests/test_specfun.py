@@ -128,6 +128,26 @@ class TestTrigamma:
             trigamma(-0.1)
 
 
+class TestTrigammaFloor:
+    FLOOR = 2.0**-511
+
+    def test_floor_is_finite_on_both_paths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trigamma(self.FLOOR)
+            assert math.isfinite(got)
+            assert got == pytest.approx(2.0**1022, rel=1e-15)
+            assert trigamma(np.array([1.0, self.FLOOR]))[1] == got
+
+    @pytest.mark.parametrize("x", [2.0**-512, 7e-155, 2e-162, 1e-200, 5e-324])
+    def test_below_floor_raises_on_both_paths(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (x, np.array([1.0, x])):
+                with pytest.raises(DomainError, match=r"2\*\*-511"):
+                    trigamma(arg)
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(1.5, 0) == 1.0
@@ -258,7 +278,9 @@ class TestArrayKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fn in KERNELS:
-                got = fn(np.array([1e200, 1e-200]))
+                # below 2**-511 trigamma raises (TestTrigammaFloor)
+                tiny = 2.0**-511 if fn is trigamma else 1e-200
+                got = fn(np.array([1e200, tiny]))
                 assert got[0] == fn(1e200)
 
 
