@@ -224,11 +224,14 @@ def partition(point: GibbsPoint) -> float | np.ndarray:
 
     The single expression Gamma((m+1)/2) Gamma(beta) / Gamma((m+1)/2+beta)
     covers all four power-law families; the KMB value is Z_classical/beta.
-    Float or array beta > 0.
+    Float or array beta > 0; the KMB Z ~ 1/beta^2 overflows below
+    beta = 2**-511 (about 1.49e-154), where it raises DomainError like
+    ``trigamma``.
     """
     _require_positive_beta(point)
     beta = point.beta
     if point.model is ModelKind.KMB:
+        specfun.require_square_floor(beta, "KMB partition", "beta")
         return _exp(_log_partition_power(0.5, beta)) / beta
     return _exp(_log_partition_power(point.model.half_dof, beta))
 

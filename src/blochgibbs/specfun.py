@@ -34,6 +34,7 @@ __all__ = [
     "log_gamma_signed",
     "digamma",
     "trigamma",
+    "require_square_floor",
     "pochhammer",
     "hyp_pfq_at_1",
 ]
@@ -79,9 +80,8 @@ _BERNOULLI = (
 _SHIFT_GAMMA = 10.0
 _SHIFT_PSI = 6.0
 # smallest x with x*x a normal double, so 1/(x*x) is finite
-_TRIGAMMA_FLOOR = 2.0**-511
-_TRIGAMMA_FLOOR_MSG = ("trigamma requires x >= 2**-511 (about 1.49e-154), "
-                       "got {!r}")
+_SQUARE_FLOOR = 2.0**-511
+_SQUARE_FLOOR_MSG = "{} requires {} >= 2**-511 (about 1.49e-154), got {!r}"
 
 # Unit-argument series: first block length (later blocks double the sum),
 # term budget, and float64 per work array of a block (two are live).
@@ -221,6 +221,21 @@ def digamma(x: float | np.ndarray) -> float | np.ndarray:
     return acc + log(x) - 0.5 / x - tail * z
 
 
+def require_square_floor(x: float | np.ndarray, name: str,
+                         arg: str = "x") -> None:
+    """DomainError if a positive float x, or a positive element of an
+    array x, lies below 2**-511 (about 1.49e-154).  Below it x*x is no
+    longer a normal double, so anything that grows like 1/x^2 overflows;
+    the message names the function and its argument."""
+    if isinstance(x, np.ndarray):
+        tiny = x[(x > 0) & (x < _SQUARE_FLOOR)]
+        if tiny.size:
+            raise DomainError(_SQUARE_FLOOR_MSG.format(name, arg,
+                                                       float(tiny.flat[0])))
+    elif 0 < x < _SQUARE_FLOOR:
+        raise DomainError(_SQUARE_FLOOR_MSG.format(name, arg, x))
+
+
 def trigamma(x: float | np.ndarray) -> float | np.ndarray:
     """psi'(x) for x >= 2**-511 (about 1.5e-154); a float or a float
     ndarray, on the same two paths as :func:`log_gamma`.  No logarithm
@@ -228,14 +243,11 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
     longer a normal double and psi'(x) ~ 1/x^2 overflows, so a smaller
     positive x raises DomainError on both paths."""
     if isinstance(x, np.ndarray):
-        tiny = x[(x > 0) & (x < _TRIGAMMA_FLOOR)]
-        if tiny.size:
-            raise DomainError(_TRIGAMMA_FLOOR_MSG.format(float(tiny.flat[0])))
+        require_square_floor(x, "trigamma")
         x, acc, z = _shift_up(x, "trigamma", _SHIFT_PSI, lambda v: 1.0 / (v * v))
     else:
         _require_positive(x, "trigamma")
-        if x < _TRIGAMMA_FLOOR:
-            raise DomainError(_TRIGAMMA_FLOOR_MSG.format(x))
+        require_square_floor(x, "trigamma")
         acc = 0.0
         while x < _SHIFT_PSI:
             acc += 1.0 / (x * x)

@@ -156,6 +156,16 @@ class TestSweepCommand:
         assert out == ""
         assert "2**-511" in err
 
+    def test_kmb_beta_below_partition_floor_is_numerical_failure(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--model", "kmb",
+                                     "--beta-min", "1e-200",
+                                     "--beta-max", "1e-190")
+        assert code == 3
+        assert out == ""
+        assert "KMB partition requires beta >= 2**-511" in err
+
     @pytest.mark.parametrize("name, kind", [
         ("real", ModelKind.REAL), ("complex", ModelKind.COMPLEX),
         ("quat", ModelKind.QUATERNIONIC),

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,27 @@ class TestPartition:
     def test_domain(self):
         with pytest.raises(DomainError):
             partition(GibbsPoint(ModelKind.CLASSICAL, 0.0))
+
+
+class TestKmbPartitionFloor:
+    FLOOR = 2.0**-511
+
+    def test_floor_is_finite_on_both_paths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = partition(GibbsPoint(ModelKind.KMB, self.FLOOR))
+            assert math.isfinite(got) and got > 1e307
+            arr = partition(GibbsPoint(ModelKind.KMB, np.array([1.0, self.FLOOR])))
+            assert arr[1] == got
+
+    @pytest.mark.parametrize("beta", [2.0**-512, 7e-155, 1e-200, 5e-324])
+    def test_below_floor_raises_on_both_paths(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (beta, np.array([1.0, beta])):
+                with pytest.raises(DomainError,
+                                   match=r"KMB partition requires beta >= 2\*\*-511"):
+                    partition(GibbsPoint(ModelKind.KMB, arg))
 
 
 class TestPdf:

@@ -1,12 +1,20 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate as sci
+from scipy.special import betainc
+from scipy.stats import ks_2samp
 
+import blochgibbs
 from blochgibbs.errors import DomainError
-from blochgibbs.models import (GibbsPoint, ModelKind, mean_energy, partition,
-                               pdf, var_energy)
+from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
+                               mean_energy, partition, pdf, var_energy)
 from blochgibbs.oracles import (DensityMatrix2, EnergyInverter, energy_cdf,
                                 page_energy_samples, page_reduced_state,
                                 sample_energy)
@@ -137,6 +145,147 @@ class TestEnergySampler:
     def test_requires_positive_beta(self):
         with pytest.raises(DomainError):
             sample_energy(GibbsPoint(ModelKind.COMPLEX, 0.0), 1, 10)
+
+    @pytest.mark.parametrize("u", [np.nan, -0.1, 1.0, np.inf])
+    def test_quantile_rejects_u_outside_unit_interval(self, u):
+        inv = EnergyInverter(GibbsPoint(ModelKind.COMPLEX, 1.0))
+        with pytest.raises(DomainError):
+            inv.quantile(np.array([0.5, u]))
+        with pytest.raises(DomainError):
+            inv.quantile(u)
+
+    @pytest.mark.parametrize("count", [10.0, np.float64(10.0), True, "10", None])
+    def test_count_must_be_an_integer(self, count):
+        point = GibbsPoint(ModelKind.COMPLEX, 1.0)
+        with pytest.raises(DomainError, match="count must be an integer"):
+            sample_energy(point, 1, count)
+        with pytest.raises(DomainError, match="count must be an integer"):
+            page_energy_samples(2, 1, count)
+
+    def test_numpy_integer_count_accepted(self):
+        point = GibbsPoint(ModelKind.COMPLEX, 1.0)
+        assert sample_energy(point, 1, np.int64(7)).shape == (7,)
+        assert page_energy_samples(2, 1, np.int32(7)).shape == (7,)
+
+
+def reference_quantile(inv, u):
+    """Bisection in E on ``inv.cdf`` until lo and hi are adjacent doubles:
+    the root of the same numeric CDF that ``quantile`` inverts."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, inv._T ** 2)  # cdf is 1 from here on
+    while True:
+        mid = 0.5 * (lo + hi)
+        moving = (mid > lo) & (mid < hi)
+        if not moving.any():
+            return lo, hi
+        below = inv.cdf(mid) < u
+        lo = np.where(moving & below, mid, lo)
+        hi = np.where(moving & ~below, mid, hi)
+
+
+class TestQuantileAccuracy:
+    FAMILIES = list(ModelKind)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("model", FAMILIES)
+    def test_draws_within_window_of_reference_inversion(self, model, beta):
+        inv = EnergyInverter(GibbsPoint(model, beta))
+        u = np.random.default_rng(123).random(2000)
+        got = inv.quantile(u)
+        lo, hi = reference_quantile(inv, u)
+        # certified: within 0.5e-10 of the root, plus the rounding of t^2
+        slack = 0.5e-10 + 4 * np.spacing(hi)
+        assert np.all(got >= lo - slack)
+        assert np.all(got <= hi + slack)
+
+    @pytest.mark.parametrize("beta", [1e-10, 1.0, 1e10])
+    @pytest.mark.parametrize("model", FAMILIES)
+    def test_monotone_across_ulp_neighbours(self, model, beta):
+        inv = EnergyInverter(GibbsPoint(model, beta))
+        u = np.random.default_rng(5).random(5000)
+        tails = np.concatenate((np.logspace(-300, -1, 300),
+                                1.0 - np.logspace(-16, -1, 300)))
+        u = np.concatenate((u, tails))
+        u = np.sort(np.concatenate((u, np.nextafter(u, 0.0),
+                                    np.nextafter(u, 1.0), [0.0])))
+        u = u[u < 1.0]
+        q = inv.quantile(u)
+        assert np.all(np.diff(q) >= 0)
+
+    def test_shape_is_kept(self):
+        inv = EnergyInverter(GibbsPoint(ModelKind.REAL, 1.0))
+        u = np.random.default_rng(3).random((4, 5))
+        got = inv.quantile(u)
+        assert got.shape == (4, 5)
+        np.testing.assert_array_equal(got.ravel(), inv.quantile(u.ravel()))
+        assert inv.quantile(np.empty(0)).shape == (0,)
+        assert inv.quantile(0.5).shape == ()
+
+
+class TestExactBetaLaw:
+    """For the power-law families E = -ln Y with Y ~ Beta(beta, (m+1)/2),
+    so CDF(E) = 1 - I_{e^-E}(beta, (m+1)/2) in closed form."""
+
+    @pytest.mark.parametrize("beta", [1.0, 7.0])
+    @pytest.mark.parametrize("model", POWER_LAW_MODELS)
+    def test_cdf_equals_regularized_incomplete_beta(self, model, beta):
+        # The complement form keeps the reference accurate in the tail
+        # (betainc((m+1)/2, beta, 1 - e^-E) loses ~1e-7 near E = 50); below
+        # E ~ 1e-2 rounding e^-E to a double costs the reference digits.
+        E = np.geomspace(1e-2, 50.0, 400)
+        got = energy_cdf(GibbsPoint(model, beta), E)
+        want = 1.0 - betainc(beta, model.half_dof, np.exp(-E))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 7.0, 1e3, 1e10])
+    @pytest.mark.parametrize("model", POWER_LAW_MODELS)
+    def test_ks_two_sample_against_beta_draws(self, model, beta):
+        n = 20_000
+        draws = sample_energy(GibbsPoint(model, beta), rng_seed=31, count=n)
+        ref = -np.log(np.random.default_rng(47).beta(beta, model.half_dof, n))
+        assert ks_2samp(draws, ref).pvalue > 1e-3
+
+
+class TestBetaDomain:
+    @pytest.mark.parametrize("beta", [1e3, 1e6, 1e10])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_large_beta_mean_within_five_sigma(self, model, beta):
+        point = GibbsPoint(model, beta)
+        draws = sample_energy(point, rng_seed=8, count=1000)
+        se = math.sqrt(var_energy(point) / len(draws))
+        assert np.all(np.isfinite(draws))
+        assert abs(np.mean(draws) - mean_energy(point)) <= 5 * se
+
+    def test_small_beta_terminates_in_a_subprocess(self):
+        # Draws reach E ~ 1e11 here, where an absolute 1e-10 window in E
+        # is below double resolution: a stop rule that waits for it spins
+        # forever.  A child process with a timeout turns a hang into a
+        # failure.
+        script = """
+import json, math
+import numpy as np
+from blochgibbs.models import GibbsPoint, ModelKind, mean_energy, var_energy
+from blochgibbs.oracles import sample_energy
+out = []
+for beta in (1e-10, 1e-5):
+    for model in ModelKind:
+        point = GibbsPoint(model, beta)
+        draws = sample_energy(point, 17, 1000)
+        se = math.sqrt(var_energy(point) / len(draws))
+        out.append([model.value, beta, bool(np.all(np.isfinite(draws))),
+                    float((np.mean(draws) - mean_energy(point)) / se)])
+print(json.dumps(out))
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(blochgibbs.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert len(rows) == 10
+        for model, beta, finite, z in rows:
+            assert finite, (model, beta)
+            assert abs(z) <= 5.0, (model, beta, z)
 
 
 class TestInverterDensity:
