@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -213,10 +214,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import; parse_args leaves the
+    # parser unchanged, so every later call reuses it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochgibbs
 from blochgibbs import cli, verify
 from blochgibbs.figures import FIGURE_IDS, render_figure_csv
 from blochgibbs.models import (GibbsPoint, ModelKind, mean_energy,
@@ -244,6 +248,34 @@ class TestSpectrumCommand:
                                      "multiplicity": 3}
         assert doc["entries"][1] == {"d": 1, "lambda": pytest.approx(0.1),
                                      "multiplicity": 1}
+
+    def test_n_past_limit_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "1100",
+                                 "--beta", "1")
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: spectrum is limited to n <= 1028: "
+                       "beyond it the multiplicities m_(n,d) exceed the "
+                       "double range\n")
+
+
+class TestMain:
+    def test_consecutive_calls_match_fresh_processes(self, capsys,
+                                                     monkeypatch):
+        # main() reuses one parser; a usage error must leave it as a fresh
+        # process would find it.  COLUMNS fixes argparse's wrap width.
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [("figure", "fig9"),
+                 ("spectrum", "--n", "2", "--beta", "1.0"),
+                 ("figure", "fig9")]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(blochgibbs.__file__).resolve().parents[1]))
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "blochgibbs.cli",
+                                    *argv], env=env, capture_output=True,
+                                   text=True, timeout=60)
+            assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                              fresh.stderr)
+        assert [run_cli(capsys, *argv)[0] for argv in calls] == [2, 0, 2]
 
 
 class TestSolveCommand:

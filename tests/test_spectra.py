@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochgibbs.errors import DomainError
+import blochgibbs
+from blochgibbs import spectra
+from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import GibbsPoint, ModelKind, mean_energy, mean_polarization
 from blochgibbs.oracles import DensityMatrix2
 from blochgibbs.spectra import (asymptotic_relent, relative_entropy_numeric,
@@ -64,6 +70,29 @@ class TestSpectrum:
             spectrum(0, 1.0)
         with pytest.raises(DomainError):
             spectrum(3, 0.0)
+
+    @pytest.mark.parametrize("beta", (1e-10, 0.3, 1.0, 100.0))
+    def test_largest_n_has_unit_trace(self, beta):
+        table = spectrum(1028, beta)
+        assert len(table.entries) == 515
+        assert table.trace() == pytest.approx(1.0, abs=1e-10)
+
+    def test_past_largest_n_raises_before_any_entry(self, monkeypatch):
+        def no_entry(*args):
+            raise AssertionError("an entry was built")
+
+        monkeypatch.setattr(spectra, "_lambda_nd", no_entry)
+        for fn in (spectrum, spin_sum_polarization):
+            with pytest.raises(DomainError, match=r"n <= 1028.*double range"):
+                fn(1029, 1.0)
+
+    def test_largest_n_is_where_multiplicities_leave_doubles(self):
+        n = spectra._MAX_SPECTRUM_N
+        for d in range(n // 2 + 1):
+            float(spectra._multiplicity(n, d))
+        with pytest.raises(OverflowError):
+            float(max(spectra._multiplicity(n + 1, d)
+                      for d in range((n + 1) // 2 + 1)))
 
 
 class TestSpinSum:
@@ -130,6 +159,47 @@ class TestZetaOracle:
         for n in (0, 9):
             with pytest.raises(DomainError):
                 zeta_matrix_oracle(n, 1.0)
+
+    def test_drift_gate_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_DRIFT_TOL", 0.0)
+        with pytest.raises(QuadratureError, match="still drifting"):
+            zeta_matrix_oracle(3, 1.0)
+
+    @pytest.mark.parametrize("n,beta", [(n, beta) for n in range(1, 9)
+                                        for beta in (1e-10, 0.3, 1.0, 100.0)])
+    def test_cold_and_warm_calls_bit_identical(self, n, beta):
+        spectra._gauss_legendre.cache_clear()
+        cold = zeta_matrix_oracle(n, beta)
+        assert np.array_equal(zeta_matrix_oracle(n, beta), cold)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("nodes", (1, 2, 3, 4, 5, 48, 96, 192, 384))
+    def test_equals_leggauss(self, nodes):
+        x, w = spectra._gauss_legendre(nodes)
+        want_x, want_w = np.polynomial.legendre.leggauss(nodes)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+    def test_shared_arrays_are_read_only(self):
+        for arr in spectra._gauss_legendre(96):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+        for got, want in zip(spectra._gauss_legendre(96),
+                             np.polynomial.legendre.leggauss(96)):
+            assert np.array_equal(got, want)
+
+    def test_import_builds_no_rule(self):
+        script = ("import blochgibbs.cli\n"
+                  "from blochgibbs import spectra\n"
+                  "print(spectra._gauss_legendre.cache_info().currsize)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(blochgibbs.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestRelativeEntropy:
