@@ -93,6 +93,11 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _require_positive(value: float, flag: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{flag} must be finite and > 0, got {value!r}")
+
+
 def _cmd_sweep(args) -> int:
     """Z, <E>, var E and <r> on a beta grid, one array call per column.
 
@@ -105,12 +110,10 @@ def _cmd_sweep(args) -> int:
     model = _parse_model(args.model)
     if args.points < 2:
         raise _UsageError("--points must be >= 2")
-    if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
-        raise _UsageError("--beta-min and --beta-max must be finite")
+    _require_positive(args.beta_min, "--beta-min")
+    _require_positive(args.beta_max, "--beta-max")
     if not args.beta_min < args.beta_max:
         raise _UsageError("--beta-min must be strictly below --beta-max")
-    if args.beta_min <= 0:
-        raise _UsageError("--beta-min must be > 0")
     grid = (np.linspace(args.beta_min, args.beta_max, args.points)
             if args.linear else
             np.logspace(np.log10(args.beta_min), np.log10(args.beta_max),
@@ -133,8 +136,11 @@ def _cmd_figure(args) -> int:
 
 def _cmd_duality(args) -> int:
     model = _parse_model(args.model)
-    if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
+    if model not in (ModelKind.COMPLEX, ModelKind.QUATERNIONIC):
+        raise _UsageError(f"duality is defined for the complex and "
+                          f"quaternionic families, got {args.model!r}")
+    _require_positive(args.mean_e, "--mean-e")
+    _require_positive(args.tol, "--tol")
     rep = duality.run_duality_experiment(model, args.mean_e, tol=args.tol)
     if args.format == "json":
         doc = {
@@ -157,6 +163,9 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.n < 1:
+        raise _UsageError(f"--n must be >= 1, got {args.n}")
+    _require_positive(args.beta, "--beta")
     table = spectra.spectrum(args.n, args.beta)
     doc = {"schema": 1, **table.to_json_dict()}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)

@@ -19,7 +19,6 @@ from . import quadrature
 from .errors import DomainError
 from .models import (GibbsPoint, ModelKind, _exp, mean_energy, omega_complex,
                      partition, var_energy)
-from .specfun import digamma, trigamma
 
 __all__ = [
     "DualExperimentReport",
@@ -94,23 +93,23 @@ def run_duality_experiment(model: ModelKind, meanE: float,
 
 
 def mean_beta_closed(meanE: float) -> float:
-    """Closed-form <beta> ~ (3/(2<E>^2)) (psi(3/2 + s) - psi(s)), s = 3/(2<E>)."""
+    """Closed-form <beta> ~ (3/(2<E>^2)) <E>_s, with <E>_s the complex
+    family's mean energy at s = 3/(2<E>)."""
     if not math.isfinite(meanE) or meanE <= 0:
         raise DomainError("meanE must be positive")
-    s = 1.5 / meanE
-    return (1.5 / meanE**2) * (digamma(1.5 + s) - digamma(s))
+    s = GibbsPoint(ModelKind.COMPLEX, 1.5 / meanE)
+    return (1.5 / meanE**2) * mean_energy(s)
 
 
 def var_beta_closed(meanE: float) -> float:
-    """Closed-form var(beta) = (3/(4<E>^4)) (4<E> dpsi + 3 dpsi'), with the
-    differences taken between 3/2 + s and s = 3/(2<E>); positive, and
-    var(beta) <E>^2 -> 3/2 as <E> -> 0."""
+    """Closed-form var(beta) = (3/(4<E>^4)) (4<E> <E>_s - 3 var_s), with the
+    complex family's mean and variance of the energy at s = 3/(2<E>);
+    positive, and var(beta) <E>^2 -> 3/2 as <E> -> 0."""
     if not math.isfinite(meanE) or meanE <= 0:
         raise DomainError("meanE must be positive")
-    s = 1.5 / meanE
-    dpsi = digamma(1.5 + s) - digamma(s)
-    dpsi1 = trigamma(1.5 + s) - trigamma(s)
-    return (3.0 / (4.0 * meanE**4)) * (4.0 * meanE * dpsi + 3.0 * dpsi1)
+    s = GibbsPoint(ModelKind.COMPLEX, 1.5 / meanE)
+    return (3.0 / (4.0 * meanE**4)) * (4.0 * meanE * mean_energy(s)
+                                       - 3.0 * var_energy(s))
 
 
 def prior_over_meanE(meanE: float) -> tuple[float, float]:

@@ -22,13 +22,9 @@ __all__ = ["FIGURE_IDS", "figure_table", "write_csv", "render_figure_csv"]
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
-_BETA_GRID = ("log", -2.0, 3.0, 400)
-_E0_GRID = ("log", -5.0, 1.7, 400)
-
-
-def _grid(spec) -> np.ndarray:
-    kind, lo, hi, n = spec
-    return np.logspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
+# np.logspace arguments: log10 of the ends, then the point count
+_BETA_GRID = (-2.0, 3.0, 400)
+_E0_GRID = (-5.0, 1.7, 400)
 
 
 def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
@@ -37,7 +33,7 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
         raise DomainError(f"unknown figure id {fig_id!r}; know {FIGURE_IDS}")
 
     if fig_id == "fig1":
-        betas = _grid(_BETA_GRID)
+        betas = np.logspace(*_BETA_GRID)
         header = ["beta", "quaternionic", "complex", "real", "classical",
                   "brosseau"]
         cols = [mean_polarization(GibbsPoint(m, betas))
@@ -45,7 +41,7 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
         return header, list(zip(betas, *cols, map(brosseau_polarization, betas)))
 
     if fig_id in ("fig2", "fig3"):
-        betas = _grid(_BETA_GRID)
+        betas = np.logspace(*_BETA_GRID)
         fn = mean_energy if fig_id == "fig2" else var_energy
         what = "mean_energy" if fig_id == "fig2" else "var_energy"
         header = ["beta"] + [f"{what}_{m.value}" for m in POWER_LAW_MODELS]
@@ -53,20 +49,20 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
         return header, list(zip(betas, *cols))
 
     if fig_id == "fig4":
-        e0s = _grid(_E0_GRID)
+        e0s = np.logspace(*_E0_GRID)
         header = ["e0", "complex", "quaternionic", "real", "classical", "kmb"]
         cols = [integrated_density(ModelKind(name), e0s) for name in header[1:]]
         return header, list(zip(e0s, *cols))
 
     if fig_id == "fig5":
-        betas = _grid(_BETA_GRID)
+        betas = np.logspace(*_BETA_GRID)
         header = ["beta", "kmb", "complex", "gap"]
         pk = mean_polarization(GibbsPoint(ModelKind.KMB, betas))
         pc = mean_polarization(GibbsPoint(ModelKind.COMPLEX, betas))
         return header, list(zip(betas, pk, pc, pk - pc))
 
     # fig6: the log-log polarization/temperature relation
-    betas = _grid(_BETA_GRID)
+    betas = np.logspace(*_BETA_GRID)
     header = ["ln_beta", "ln_reduced_temperature"]
     rows = [(math.log(b), math.log(reduced_temperature(b))) for b in betas]
     return header, rows

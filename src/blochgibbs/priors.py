@@ -1,11 +1,15 @@
 """One-parameter prior families over the Bloch ball and its analogues.
 
-Each family q(u) lives on the state space of one of the five models
-(ball, 5-ball, disk, interval; the log-weighted family shares the ball)
-and transforms into the corresponding Gibbs energy density under
-u = 1 - beta, r = sqrt(1 - e^-E) once the angles are integrated out.
-Densities are normalized for u < 1; the improper range u >= 1 is rejected
-at construction.
+One ball law gives all five.  A power-law family (m = ``ModelKind.m``)
+lives on the unit ball of R^(m+1), where for u < 1 the prior is
+q_u(x) = Gamma((m+3)/2 - u) / (pi^((m+1)/2) Gamma(1 - u)) (1 - |x|^2)^-u.
+Its radial marginal is |S^m| r^m q_u(r), |S^k| = 2 pi^((k+1)/2) /
+Gamma((k+1)/2), and its m angles carry the uniform measure of S^m; the
+classical family (m = 0) is folded onto r in [0, 1) with no angle.  KMB
+lives on the complex ball with marginal beta r 2 artanh(r) times the
+classical one.  Under u = 1 - beta, r = sqrt(1 - e^-E) each marginal
+becomes its Gibbs energy density.  The r and E functions take a float or
+an array, checked element by element; a float in gives a float out.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .models import GibbsPoint, ModelKind, omega_complex, pdf
@@ -28,30 +34,29 @@ __all__ = [
     "dirichlet_density",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-
 
 class PriorTag(enum.Enum):
-    """The five prior families, one record each: the tag, the Gibbs family
-    it maps onto, the number of angles beyond the radius (theta, phi on the
-    ball; theta1..theta3, phi on the 5-ball; phi on the disk; none on the
-    interval) and the total mass of the angular measure, used when folding
-    the angles into the radial marginal."""
+    """The five prior families, one record each: the tag and the Gibbs
+    family it maps onto.  The state space follows from the family's m."""
 
-    COMPLEX_Q = "complex_q", ModelKind.COMPLEX, 2, 4.0 * math.pi
-    QUAT_Q = "quat_q", ModelKind.QUATERNIONIC, 4, 8.0 * math.pi**2 / 3.0
-    REAL_Q = "real_q", ModelKind.REAL, 1, 2.0 * math.pi
-    CLASS_Q = "class_q", ModelKind.CLASSICAL, 0, 1.0
-    KMB_Q = "kmb_q", ModelKind.KMB, 2, 4.0 * math.pi
+    COMPLEX_Q = "complex_q", ModelKind.COMPLEX
+    QUAT_Q = "quat_q", ModelKind.QUATERNIONIC
+    REAL_Q = "real_q", ModelKind.REAL
+    CLASS_Q = "class_q", ModelKind.CLASSICAL
+    KMB_Q = "kmb_q", ModelKind.KMB
 
-    def __new__(cls, tag: str, model: ModelKind, angle_count: int,
-                angular_volume: float):
+    def __new__(cls, tag: str, model: ModelKind):
         member = object.__new__(cls)
         member._value_ = tag
         member.model = model
-        member.angle_count = angle_count
-        member.angular_volume = angular_volume
         return member
+
+    @property
+    def angle_count(self) -> int:
+        """Angles beyond the radius: m of the family (theta, phi on the
+        ball; theta1..theta3, phi on the 5-ball; phi on the disk; none on
+        the interval), and 2 for KMB, which shares the complex ball."""
+        return ModelKind.COMPLEX.m if self.model.m is None else self.model.m
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,13 @@ class PriorKind:
         return 1.0 - self.u
 
 
-def _check_r(r: float):
-    if not (math.isfinite(r) and 0.0 <= r < 1.0):
-        raise DomainError(f"r must lie in [0, 1), got {r!r}")
+def _checked(x, ok, what: str) -> np.ndarray:
+    """x as a float array (0-d for a float) whose every element passes ok."""
+    arr = np.asarray(x, dtype=float)
+    bad = arr[~ok(arr)]
+    if bad.size:
+        raise DomainError(f"{what}, got {float(bad[0])!r}")
+    return arr
 
 
 def _check_angles(tag: PriorTag, angles: tuple[float, ...]):
@@ -93,82 +102,72 @@ def _check_angles(tag: PriorTag, angles: tuple[float, ...]):
         raise DomainError(f"azimuthal angle out of [0, 2 pi): {phi!r}")
 
 
-def _weight(u: float, r: float) -> float:
-    """(1 - r^2)^(-u)."""
-    return (1.0 - r * r) ** (-u)
+def _sphere_area(k: int) -> float:
+    """|S^k| = 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
+    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-def _log_ratio(r: float) -> float:
-    """ln((1+r)/(1-r)) = 2 artanh r."""
-    return math.log1p(r) - math.log1p(-r)
+def _ball_normaliser(model: ModelKind, u: float) -> float:
+    """Gamma((m+3)/2 - u) / (pi^((m+1)/2) Gamma(1 - u)), which gives q_u unit
+    mass on the unit ball of R^(m+1); (m+1)/2 is ``model.half_dof``."""
+    h = model.half_dof
+    return math.exp(log_gamma(h + 1.0 - u) - log_gamma(1.0 - u)) / math.pi**h
 
 
-def prior_density(kind: PriorKind, r: float, *angles: float) -> float:
-    """Density value at (r, angles), Jacobian factors included.
+def radial_density(kind: PriorKind, r):
+    """Marginal density in r after integrating out every angle; r is a
+    float or an array with every element in [0, 1)."""
+    r = _checked(r, lambda a: (a >= 0.0) & (a < 1.0), "r must lie in [0, 1)")
+    model = kind.tag.model
+    if model is ModelKind.KMB:  # beta r 2 artanh(r) x the classical marginal
+        model = ModelKind.CLASSICAL
+        factor = kind.beta * r * (np.log1p(r) - np.log1p(-r))
+    else:
+        factor = 1.0
+    # np.power: array ** -0.5 takes a 1/sqrt shortcut a float does not
+    out = (factor * _sphere_area(model.m) * _ball_normaliser(model, kind.u)
+           * r**model.m * np.power(1.0 - r * r, -kind.u))
+    return out if r.ndim else float(out)
+
+
+def prior_density(kind: PriorKind, r, *angles: float):
+    """Density value at (r, angles), Jacobian factors included: the radial
+    marginal times prod_j sin^(k-1-j)(angle_j) / |S^k| over the k angles.
 
     Coordinates per family: ball families take (r, theta, phi) [the
     5-ball takes (r, theta1, theta2, theta3, phi)], the disk takes
-    (r, phi), the interval family takes r alone.
+    (r, phi), the interval family takes r alone.  r is a float or an
+    array, as in ``radial_density``; the angles are floats.
     """
-    _check_r(r)
-    _check_angles(kind.tag, tuple(angles))
-    u = kind.u
-    tag = kind.tag
-    if tag is PriorTag.COMPLEX_Q:
-        theta = angles[0]
-        return (math.exp(log_gamma(2.5 - u) - log_gamma(1.0 - u))
-                * r * r * math.sin(theta) * _weight(u, r) / math.pi**1.5)
-    if tag is PriorTag.QUAT_Q:
-        t1, t2, t3 = angles[0], angles[1], angles[2]
-        return (math.exp(log_gamma(3.5 - u) - log_gamma(1.0 - u))
-                * r**4 * math.sin(t1)**3 * math.sin(t2)**2 * math.sin(t3)
-                * _weight(u, r) / math.pi**2.5)
-    if tag is PriorTag.REAL_Q:
-        return (1.0 - u) * r * _weight(u, r) / math.pi
-    if tag is PriorTag.CLASS_Q:
-        return (2.0 * math.exp(log_gamma(1.5 - u) - log_gamma(1.0 - u))
-                * _weight(u, r) / _SQRT_PI)
-    # KMB ball family with the log-weighted radial factor
-    theta = angles[0]
-    return ((1.0 - u) * math.exp(log_gamma(1.5 - u) - log_gamma(1.0 - u))
-            * r * _log_ratio(r) * math.sin(theta) * _weight(u, r)
-            / (2.0 * math.pi**1.5))
+    out = radial_density(kind, r)
+    _check_angles(kind.tag, angles)
+    k = len(angles)
+    if k == 0:
+        return out
+    jac = math.prod(math.sin(a) ** (k - 1 - j) for j, a in enumerate(angles))
+    return out * jac / _sphere_area(k)
 
 
-def radial_density(kind: PriorKind, r: float) -> float:
-    """Marginal density in r after integrating out every angle."""
-    _check_r(r)
-    tag = kind.tag
-    vol = tag.angular_volume
-    if tag is PriorTag.CLASS_Q:
-        return prior_density(kind, r)
-    if tag is PriorTag.REAL_Q:
-        return vol * prior_density(kind, r, 0.0)
-    # ball families: evaluate at theta = pi/2 where every sin factor is 1
-    ref_angles = (math.pi / 2.0,) * (tag.angle_count - 1) + (0.0,)
-    return vol * prior_density(kind, r, *ref_angles)
-
-
-def transform_to_gibbs(kind: PriorKind, E: float, beta: float) -> float:
+def transform_to_gibbs(kind: PriorKind, E, beta: float):
     """Energy density induced by u = 1 - beta and r = sqrt(1 - e^-E):
     radial marginal times dr/dE = e^-E / (2 r).  Must match the matching
-    Gibbs family's pdf pointwise."""
-    if not math.isfinite(E) or E < 0:
-        raise DomainError("E must be >= 0")
+    Gibbs family's pdf pointwise.  E is a float or an array with every
+    element finite and >= 0; at E = 0 the value is the r -> 0 limit: inf
+    (classical), beta (real), 0 otherwise."""
+    E = _checked(E, lambda a: (a >= 0.0) & (a < math.inf), "E must be >= 0")
     if not math.isfinite(beta) or beta <= 0:
         raise DomainError("beta must be positive")
     if abs(kind.beta - beta) > 1e-12:
         raise DomainError(
             f"inconsistent pair: kind.u = {kind.u} implies beta = {kind.beta}, "
             f"got beta = {beta}")
-    if E == 0.0:
-        # r -> 0 limits of radial_density(r) e^-E/(2r)
-        if kind.tag is PriorTag.CLASS_Q:
-            return math.inf
-        return beta if kind.tag is PriorTag.REAL_Q else 0.0
-    r = float(omega_complex(E))
-    jac = math.exp(-E) / (2.0 * r)
-    return radial_density(kind, r) * jac
+    limit = {PriorTag.CLASS_Q: math.inf,
+             PriorTag.REAL_Q: beta}.get(kind.tag, 0.0)
+    r = omega_complex(E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(E == 0.0, limit,
+                       radial_density(kind, r) * np.exp(-E) / (2.0 * r))
+    return out if E.ndim else float(out)
 
 
 def bloch_cartesian_density(u: float, x: float, y: float, z: float) -> float:
@@ -179,8 +178,7 @@ def bloch_cartesian_density(u: float, x: float, y: float, z: float) -> float:
     rsq = x * x + y * y + z * z
     if rsq >= 1.0:
         raise DomainError("(x, y, z) must lie inside the unit ball")
-    return (math.exp(log_gamma(2.5 - u) - log_gamma(1.0 - u))
-            / (math.pi**1.5 * (1.0 - rsq) ** u))
+    return _ball_normaliser(ModelKind.COMPLEX, u) / (1.0 - rsq) ** u
 
 
 def dirichlet_density(u: float, X: float, Y: float, Z: float) -> float:
@@ -191,8 +189,8 @@ def dirichlet_density(u: float, X: float, Y: float, Z: float) -> float:
         raise DomainError("u must be < 1")
     if min(X, Y, Z) <= 0.0 or X + Y + Z >= 1.0:
         raise DomainError("(X, Y, Z) must be an interior simplex point")
-    return (math.exp(log_gamma(2.5 - u) - log_gamma(1.0 - u))
-            / (math.pi**1.5 * math.sqrt(X * Y * Z) * (1.0 - X - Y - Z) ** u))
+    return (_ball_normaliser(ModelKind.COMPLEX, u)
+            / (math.sqrt(X * Y * Z) * (1.0 - X - Y - Z) ** u))
 
 
 def prior_for_model(model: ModelKind, beta: float) -> PriorKind:

@@ -613,13 +613,8 @@ def _suite_magnetics(seed: int) -> list[Check]:
 def _radial_norm(kind: priors.PriorKind) -> float:
     """Integral of the radial marginal via the r = sin(chi) substitution."""
     def f(chi):
-        chi = np.asarray(chi, dtype=float)
-        out = np.empty_like(chi)
-        for i, c in enumerate(chi.ravel()):
-            r = math.sin(c)
-            out.ravel()[i] = priors.radial_density(kind, min(r, 1 - 1e-16)) \
-                * math.cos(c)
-        return out
+        r = np.minimum(np.sin(chi), 1 - 1e-16)
+        return priors.radial_density(kind, r) * np.cos(chi)
 
     return quadrature.integrate_interval(f, 0.0, math.pi / 2 - 1e-9,
                                          tol=1e-9).value
@@ -644,13 +639,13 @@ def _suite_priors(seed: int) -> list[Check]:
                          0.5 / math.pi, 1e-12))
 
     worst = 0.0
+    es = np.linspace(0.05, 6.0, 20)
     for model in ModelKind:
         for beta in np.linspace(0.25, 4.0, 20):
             kind = priors.prior_for_model(model, beta)
-            for E in np.linspace(0.05, 6.0, 20):
-                worst = max(worst, abs(
-                    priors.transform_to_gibbs(kind, E, beta)
-                    - models.pdf(GibbsPoint(model, beta), E)))
+            worst = max(worst, float(np.max(np.abs(
+                priors.transform_to_gibbs(kind, es, beta)
+                - models.pdf(GibbsPoint(model, beta), es)))))
     checks.append(_close("prior_transforms_to_gibbs_pdf", worst, 0.0, 1e-10))
 
     rng = np.random.default_rng(11)

@@ -170,6 +170,20 @@ class TestSweepCommand:
         assert out == ""
         assert "KMB partition requires beta >= 2**-511" in err
 
+    @pytest.mark.parametrize("lo, hi", [("1e-10", "1e-2"), ("1e3", "1e10")])
+    @pytest.mark.parametrize("model", ["real", "complex", "quat", "class",
+                                       "kmb"])
+    def test_edge_ranges(self, capsys, model, lo, hi):
+        # the benchmark's sweep workload runs these ranges
+        code, out, _ = run_cli(capsys, "sweep", "--model", model,
+                               "--beta-min", lo, "--beta-max", hi,
+                               "--points", "200")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows.shape == (200, 5)
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0)
+        assert np.all(rows[:, 4] <= 1.0)
+
     @pytest.mark.parametrize("name, kind", [
         ("real", ModelKind.REAL), ("complex", ModelKind.COMPLEX),
         ("quat", ModelKind.QUATERNIONIC),
@@ -223,10 +237,21 @@ class TestDualityCommand:
         assert doc["mean_beta"] == pytest.approx(0.0636579, abs=5e-4)
         assert doc["roundtrip_meanE"] == pytest.approx(16.2805, abs=0.02)
 
+    @pytest.mark.parametrize("argv", [
+        ("--mean-e", "-4.0"), ("--mean-e", "nan"), ("--mean-e", "0"),
+        ("--mean-e", "inf"), ("--model", "real"), ("--model", "kmb"),
+        ("--tol", "nan"), ("--tol", "0"),
+    ])
+    def test_malformed_arguments_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "duality", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
+
     def test_numerical_failure_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "duality", "--mean-e", "-4.0")
-        assert code == 3
-        assert "numerical failure" in err
+        # well-formed input whose quadrature stalls
+        code, out, err = run_cli(capsys, "duality", "--mean-e", "1e-9")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: interval quadrature stalled")
 
     def test_tol_override(self, capsys):
         code, out, _ = run_cli(capsys, "duality", "--mean-e", "16.3",
@@ -248,6 +273,22 @@ class TestSpectrumCommand:
                                      "multiplicity": 3}
         assert doc["entries"][1] == {"d": 1, "lambda": pytest.approx(0.1),
                                      "multiplicity": 1}
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "0", "--beta", "1"), ("--n", "-3", "--beta", "1"),
+        ("--n", "2", "--beta", "-1"), ("--n", "2", "--beta", "0"),
+        ("--n", "2", "--beta", "nan"), ("--n", "2", "--beta", "inf"),
+    ])
+    def test_malformed_arguments_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
+
+    def test_unit_trace_violation_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "2",
+                                 "--beta", "1e5")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: unit-trace violation")
 
     def test_n_past_limit_is_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "1100",
@@ -329,3 +370,6 @@ class TestVerifyCommand:
         assert code == 0
         assert report["all_pass"] is True
         assert len(report["checks"]) > 100
+        # the benchmark compares verify's output with these names, in order
+        want = (REF / "verify_checks.txt").read_text().split()
+        assert [c["check"] for c in report["checks"]] == want

@@ -10,6 +10,7 @@ from blochgibbs.priors import (PriorKind, PriorTag, bloch_cartesian_density,
                                dirichlet_density, prior_density,
                                prior_for_model, radial_density,
                                transform_to_gibbs)
+from blochgibbs.specfun import log_gamma
 
 
 def _angular_quadrature(tag):
@@ -177,3 +178,102 @@ class TestRadialDensity:
         # radial marginal must integrate to 1 on its own
         val, _ = sci.quad(lambda r: radial_density(kind, r), 0, 1)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+
+TAGS_U = [(tag, u) for tag in PriorTag for u in (-1.0, 0.0, 0.5, 0.9)]
+R_GRID = np.concatenate([[0.0], np.linspace(1e-3, 0.999, 49)])
+ANGLES = {0: (), 1: (0.7,), 2: (1.1, 0.7), 4: (1.1, 0.4, 2.0, 0.7)}
+
+
+def _reference_density(kind, r, *angles):
+    """The five hand-written family branches the ball law replaced."""
+    u, tag = kind.u, kind.tag
+    w = (1.0 - r * r) ** (-u)
+    if tag is PriorTag.COMPLEX_Q:
+        return (math.exp(log_gamma(2.5 - u) - log_gamma(1.0 - u))
+                * r * r * math.sin(angles[0]) * w / math.pi**1.5)
+    if tag is PriorTag.QUAT_Q:
+        t1, t2, t3 = angles[:3]
+        return (math.exp(log_gamma(3.5 - u) - log_gamma(1.0 - u))
+                * r**4 * math.sin(t1)**3 * math.sin(t2)**2 * math.sin(t3)
+                * w / math.pi**2.5)
+    if tag is PriorTag.REAL_Q:
+        return (1.0 - u) * r * w / math.pi
+    if tag is PriorTag.CLASS_Q:
+        return (2.0 * math.exp(log_gamma(1.5 - u) - log_gamma(1.0 - u))
+                * w / math.sqrt(math.pi))
+    log_ratio = math.log1p(r) - math.log1p(-r)
+    return ((1.0 - u) * math.exp(log_gamma(1.5 - u) - log_gamma(1.0 - u))
+            * r * log_ratio * math.sin(angles[0]) * w / (2.0 * math.pi**1.5))
+
+
+class TestBallLaw:
+    @pytest.mark.parametrize("tag, u", TAGS_U)
+    def test_matches_family_branches(self, tag, u):
+        kind = PriorKind(tag=tag, u=u)
+        angles = ANGLES[tag.angle_count]
+        for r in R_GRID:
+            want = _reference_density(kind, float(r), *angles)
+            got = prior_density(kind, float(r), *angles)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("tag, u", TAGS_U)
+    def test_array_r_equals_float_r(self, tag, u):
+        kind = PriorKind(tag=tag, u=u)
+        angles = ANGLES[tag.angle_count]
+        radial = radial_density(kind, R_GRID)
+        density = prior_density(kind, R_GRID, *angles)
+        assert radial.shape == density.shape == R_GRID.shape
+        for i, r in enumerate(R_GRID):
+            one = radial_density(kind, float(r))
+            assert type(one) is float
+            assert radial[i] == one
+            assert density[i] == prior_density(kind, float(r), *angles)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.5, 0.1])
+    def test_array_e_equals_float_e(self, model, beta):
+        kind = prior_for_model(model, beta)
+        es = np.concatenate([[0.0], np.geomspace(1e-8, 30.0, 40)])
+        got = transform_to_gibbs(kind, es, beta)
+        assert got.shape == es.shape
+        for i, e in enumerate(es):
+            one = transform_to_gibbs(kind, float(e), beta)
+            assert type(one) is float
+            assert got[i] == one
+
+    @pytest.mark.parametrize("tag, limit", [
+        (PriorTag.CLASS_Q, math.inf), (PriorTag.REAL_Q, 0.75),
+        (PriorTag.COMPLEX_Q, 0.0), (PriorTag.QUAT_Q, 0.0),
+        (PriorTag.KMB_Q, 0.0)])
+    def test_zero_energy_limits_in_an_array(self, tag, limit):
+        kind = PriorKind(tag=tag, u=0.25)
+        got = transform_to_gibbs(kind, np.array([0.5, 0.0, 2.0, 0.0]), 0.75)
+        assert got[1] == got[3] == limit
+        assert np.all(np.isfinite(got[[0, 2]])) and np.all(got[[0, 2]] > 0)
+        assert transform_to_gibbs(kind, 0.0, 0.75) == limit
+
+    @pytest.mark.parametrize("bad", [1.0, -1e-3, math.nan, math.inf])
+    def test_bad_r_element_rejected(self, bad):
+        kind = PriorKind(tag=PriorTag.KMB_Q, u=0.0)
+        r = np.array([0.1, bad, 0.5])
+        with pytest.raises(DomainError, match=r"r must lie in \[0, 1\)"):
+            radial_density(kind, r)
+        with pytest.raises(DomainError, match=r"r must lie in \[0, 1\)"):
+            prior_density(kind, r, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            radial_density(kind, bad)
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.inf, math.nan])
+    def test_bad_e_element_rejected(self, bad):
+        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)
+        with pytest.raises(DomainError, match="E must be >= 0"):
+            transform_to_gibbs(kind, np.array([0.1, bad, 1.0]), 1.0)
+        with pytest.raises(DomainError, match="E must be >= 0"):
+            transform_to_gibbs(kind, bad, 1.0)
+
+    def test_angle_counts_follow_m(self):
+        assert [t.angle_count for t in PriorTag] == [2, 4, 1, 0, 2]
+        for tag in PriorTag:
+            if tag.model.m is not None:
+                assert tag.angle_count == tag.model.m
