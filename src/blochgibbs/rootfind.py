@@ -69,11 +69,13 @@ def scan_bracket(f, lo: float, hi: float, points: int = 400):
     """First sign-change subinterval of f on a log-spaced scan grid over
     [lo, hi] (0 < lo < hi), or BracketingError.
 
-    The error message reports the smallest |f| seen, which is what a caller
-    needs to document a genuinely rootless curve difference.
+    f must accept an array: it is called once, on the whole grid, and
+    returns one value per grid point.  The error message reports the
+    smallest |f| seen, which is what a caller needs to document a
+    genuinely rootless curve difference.
     """
     grid = np.logspace(math.log10(lo), math.log10(hi), points)
-    vals = np.array([f(x) for x in grid])
+    vals = np.asarray(f(grid), dtype=float)
     sign = np.sign(vals)
     change = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
     if len(change) == 0:

@@ -259,6 +259,20 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
     return acc + 1.0 / x + 0.5 * z + tail * z / x
 
 
+def _dilog_small(a: np.ndarray) -> np.ndarray:
+    """Li2(a) = sum_{k>=1} a^k / k^2 for a float array with 0 <= a <= 0.15.
+
+    Horner over the first 20 terms: the omitted tail is below
+    a^21 / (441 (1 - a)) < 2^-62 a <= 2^-62 Li2(a).  Outside the range the
+    sum is silently truncated, so keeping to it is the caller's part.
+    """
+    acc = np.zeros_like(a)
+    for k in range(20, 0, -1):
+        acc *= a
+        acc += 1.0 / (k * k)
+    return acc * a
+
+
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial a (a+1) ... (a+n-1); n = 0 gives 1."""
     if n < 0 or n != int(n):
@@ -300,16 +314,23 @@ def _terminating_sum(nums, dens, cut) -> float:
     return total
 
 
-def _block_terms(a, b, k, t0):
+def _block_terms(a, b, k, t0, buf):
     """Sums, last terms and next terms of one block for each row.
 
     Row i sums t0[i] * prod_{j<m} ratio_i(k[j]) for m = 0..len(k)-1 with
-    the scalar ratio recursion, operation for operation; two float64
-    arrays of shape (rows, len(k)) are live.
+    the scalar ratio recursion, operation for operation.  The two work
+    arrays of shape (rows, len(k)) are views of the rows of ``buf``, a
+    (2, n) float64 array with n >= rows * len(k) that the caller reuses
+    from block to block.
     """
-    # 1 * (a_0 + k) is a_0 + k exactly, so the first factor needs no product
-    ratios = np.add(a[:, :1], k) if a.shape[1] else np.ones((len(t0), len(k)))
-    work = np.empty_like(ratios)
+    shape = (len(t0), len(k))
+    ratios = buf[0, :shape[0] * shape[1]].reshape(shape)
+    work = buf[1, :ratios.size].reshape(shape)
+    if a.shape[1]:
+        # 1 * (a_0 + k) is a_0 + k exactly: the first factor needs no product
+        np.add(a[:, :1], k, out=ratios)
+    else:
+        ratios.fill(1.0)
     for col in a.T[1:]:
         ratios *= np.add(col[:, None], k, out=work)
     for col in b.T:
@@ -348,7 +369,7 @@ def _richardson(estimates):
     return None
 
 
-def _sum_rows(a, b, tol):
+def _sum_rows(a, b, tol, buf):
     """Blocked unit-argument summation of every row of parameters.
 
     a: (rows, p) numerators, b: (rows, q) denominators, tol: (rows,).
@@ -356,7 +377,8 @@ def _sum_rows(a, b, tol):
     boundaries 512, 1024, 2048, ...; at each boundary every live row runs
     the stopping rule on its own and a certified row leaves the batch.
     Rows go through a block a slice at a time, so that the work arrays
-    stay within _BLOCK_ELEMENTS float64 each.
+    stay within _BLOCK_ELEMENTS float64 each, in ``buf`` (see
+    ``_block_terms``) unless a block outgrows it.
     """
     n = len(tol)
     tols = tol.tolist()
@@ -374,10 +396,14 @@ def _sum_rows(a, b, tol):
         k0 += block
         log_step = math.log(k0 / (k0 - 1.0))
         step = max(1, _BLOCK_ELEMENTS // block)
+        need = min(step, live.size) * block
+        if buf.shape[1] < need:
+            buf = np.empty((2, need))
         keep = []
         for i in range(0, live.size, step):
             rows = live[i:i + step]
-            sums, last, t_next = _block_terms(a[rows], b[rows], k, t0[rows])
+            sums, last, t_next = _block_terms(a[rows], b[rows], k, t0[rows],
+                                              buf)
             total[rows] += sums
             for row, tot, lt, tn in zip(rows.tolist(), total[rows].tolist(),
                                         last.tolist(), t_next.tolist()):
@@ -438,11 +464,11 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     separate calls.  Float arguments give a float result; otherwise
     ``value`` and ``tail_bound`` are arrays and ``terms_used`` is the sum
     over the rows.  Rows are summed in groups of 64, each to the end, and
-    a block's two work arrays hold at most 2^15 float64 each, so memory
-    does not grow with the batch beyond its parameters and results.  One
-    batch of the 200 KMB factors of a beta grid on [0.1, 100] takes about
-    0.4 of the time of 200 one-row calls (10-12 ms against 22-29 ms on a
-    2-core x86-64 VM).
+    a block's two work arrays hold at most 2^15 float64 each and are
+    allocated once per call, so memory does not grow with the batch
+    beyond its parameters and results.  One batch of the 200 KMB factors
+    of a beta grid on [0.1, 100] takes about 0.4 of the time of 200
+    one-row calls (10-12 ms against 22-29 ms on a 2-core x86-64 VM).
 
     Raises ConvergenceError when s <= 0 (non-terminating series diverges
     at unit argument) or when 10^6 terms do not certify ``tol`` (in a
@@ -484,13 +510,17 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
                 f"series diverges at unit argument: sum(den) - sum(num) = {excess}")
     # Groups of rows whose first block just fills the work arrays are
     # summed to the end one after another, which bounds the per-row
-    # Python state of a large batch.
+    # Python state of a large batch.  One pair of work arrays serves every
+    # block of every group: 256 KB arrays allocated and freed block after
+    # block let the allocator return their pages to the system and fault
+    # them in again on the next call, which cost 10-18 % of a KMB sweep.
     series = np.flatnonzero(series)
     group = _BLOCK_ELEMENTS // _FIRST_BLOCK
+    buf = np.empty((2, min(series.size, group) * _FIRST_BLOCK))
     for lo in range(0, series.size, group):
         rows = series[lo:lo + group]
         value[rows], bound[rows], terms[rows] = _sum_rows(
-            table[rows, :p], table[rows, p:-1], table[rows, -1])
+            table[rows, :p], table[rows, p:-1], table[rows, -1], buf)
     if batch:
         return SeriesResult(value=value, terms_used=int(terms.sum()),
                             tail_bound=bound)

@@ -9,7 +9,8 @@ from blochgibbs.magnetics import (IntersectionReport, brillouin_tanh,
                                   intersect_brosseau, kmb_density_crossing,
                                   langevin, langevin_partition, loglinear_fit,
                                   order_parameter, reduced_temperature)
-from blochgibbs.models import GibbsPoint, ModelKind, mean_polarization
+from blochgibbs.models import (GibbsPoint, ModelKind, integrated_density,
+                               mean_polarization)
 
 LN2 = math.log(2.0)
 
@@ -80,6 +81,14 @@ class TestKmbDensityCrossings:
 
     @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
                                        ModelKind.QUATERNIONIC])
+    def test_kmb_density_exceeds_dominated_curves(self, model):
+        e0s = np.logspace(-7, math.log10(60.0), 10**4)
+        gap = (integrated_density(ModelKind.KMB, e0s)
+               - integrated_density(model, e0s))
+        assert np.all(gap > 0)
+
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
+                                       ModelKind.QUATERNIONIC])
     def test_no_crossing_against_dominated_curves(self, model):
         # the KMB integrated density dominates twice these curves pointwise;
         # the scan must report the absence rather than fabricate a root
@@ -104,6 +113,25 @@ class TestReducedTemperature:
             got = reduced_temperature(beta)
             # next correction is O(beta^-2)
             assert abs(got - want) < 5.0 / beta**2
+
+    def test_array_equals_float_path(self):
+        betas = np.logspace(-2, 3, 400)
+        got = reduced_temperature(betas)
+        assert got.tolist() == [reduced_temperature(float(b)) for b in betas]
+
+    def test_saturation_rejected_for_any_element(self):
+        with pytest.raises(DomainError):
+            reduced_temperature(1e-16)
+        with pytest.raises(DomainError):
+            reduced_temperature(np.array([1.0, 1e-16, 2.0]))
+
+    @pytest.mark.parametrize("betas", [
+        np.array([1.0, 0.0]), np.array([1.0, -2.0]), np.array([1.0, math.inf]),
+        np.array([1.0, math.nan]), np.array([[1.0, 2.0]]), np.array(1.0),
+    ], ids=["zero", "negative", "inf", "nan", "2-D", "0-d"])
+    def test_bad_array_rejected(self, betas):
+        with pytest.raises(DomainError):
+            reduced_temperature(betas)
 
     def test_log_value_at_e10(self):
         got = math.log(reduced_temperature(math.exp(10.0)))

@@ -401,8 +401,7 @@ class TestIntegratedDensity:
             assert abs(om - math.tanh((n + 2 * om) / 2)) <= 1e-10
 
     def test_kmb_against_dilogarithm_closed_form(self):
-        # independent oracle: N_kmb has a closed form through Li2 that the
-        # implementation (pure quadrature) never touches
+        # independent oracle: scipy's Li2, not the library's own series
         li2 = lambda z: sps.spence(1.0 - z)
         for e0 in (0.01, 0.3, LN2, 1.57565, 5.0, 20.0):
             r = float(omega_complex(e0))
@@ -410,6 +409,38 @@ class TestIntegratedDensity:
                     - 2 * LN2 * (-e0 - math.log1p(r)) - math.log1p(r)**2)
             assert integrated_density(ModelKind.KMB, e0) == \
                 pytest.approx(want, abs=2e-10)
+
+    def test_kmb_against_mpmath_on_fig4_grid(self):
+        import mpmath as mp
+
+        def reference(e0):
+            e0 = mp.mpf(e0)
+            r = mp.sqrt(-mp.expm1(-e0))
+            lp = mp.log1p(r)
+            return (e0**2 / 2 + 2 * mp.polylog(2, (1 - r) / 2)
+                    - 2 * mp.polylog(2, mp.mpf(1) / 2)
+                    + 2 * mp.log(2) * (e0 + lp) - lp**2)
+
+        e0s = np.logspace(-5, 1.7, 400)
+        got = integrated_density(ModelKind.KMB, e0s)
+        with mp.workdps(40):
+            rel = [float(abs(mp.mpf(g) / reference(float(e)) - 1))
+                   for g, e in zip(got.tolist(), e0s)]
+        assert max(rel) <= 5e-16
+        assert float(np.median(rel)) <= 1.5e-16
+
+    def test_kmb_forms_agree_at_the_switch(self):
+        # 65 consecutive doubles around r = 0.7, where the series hands over
+        # to the dilogarithm form: the jump between them is at most 2 ulp
+        from blochgibbs.models import (_kmb_density_dilog,
+                                       _kmb_density_series)
+        e0 = -math.log1p(-0.49)
+        e0s = e0 + np.spacing(e0) * np.arange(-32, 33)
+        r2 = -np.expm1(-e0s)
+        series = _kmb_density_series(r2)
+        dilog = _kmb_density_dilog(e0s, r2)
+        assert np.all(np.abs(series - dilog) <= 2 * np.spacing(series))
+        assert (r2 < 0.49).any() and (r2 >= 0.49).any()
 
     def test_all_derivatives_are_structure_functions(self):
         h = 1e-6
@@ -424,7 +455,7 @@ class TestIntegratedDensity:
         with pytest.raises(DomainError):
             integrated_density(ModelKind.COMPLEX, -1.0)
 
-    @pytest.mark.parametrize("model", POWER_LAW_MODELS)
+    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_array_equals_float_path(self, model):
         e0s = np.logspace(-5, 1.7, 400)
         got = integrated_density(model, e0s)
@@ -432,30 +463,35 @@ class TestIntegratedDensity:
         assert got.shape == e0s.shape
         assert got.tolist() == want
 
-    def test_kmb_array_is_cumulative_float_rule(self):
-        e0s = np.logspace(-5, 1.7, 400)
-        got = integrated_density(ModelKind.KMB, e0s)
-        want = np.array([integrated_density(ModelKind.KMB, float(e))
-                         for e in e0s])
-        assert got[0] == want[0]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_array_in_any_order_with_repeats(self, model):
+        e0s = np.array([0.0, 0.0, 0.5, 0.5, 2.0, 0.7, 0.0, 40.0, 0.5])
+        got = integrated_density(model, e0s)
+        assert got[0] == 0.0
+        assert got.tolist() == [integrated_density(model, float(e))
+                                for e in e0s]
 
-    def test_array_may_start_at_zero_and_repeat(self):
-        e0s = np.array([0.0, 0.0, 0.5, 0.5, 2.0])
-        for model in ALL_MODELS:
-            got = integrated_density(model, e0s)
-            assert got[0] == got[1] == 0.0 and got[2] == got[3]
-            assert got[4] == pytest.approx(integrated_density(model, 2.0),
-                                           abs=1e-10)
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_decreasing_array_is_per_element(self, model):
+        got = integrated_density(model, np.array([1.0, 0.5]))
+        assert got.tolist() == [integrated_density(model, 1.0),
+                                integrated_density(model, 0.5)]
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     @pytest.mark.parametrize("e0s", [
-        np.array([1.0, 0.5]), np.array([-1.0, 0.5]), np.array([0.5, math.inf]),
+        np.array([-1.0, 0.5]), np.array([0.5, math.inf]),
         np.array([0.5, math.nan]), np.array([[0.1, 0.2]]), np.array(0.5),
-    ], ids=["decreasing", "negative", "inf", "nan", "2-D", "0-d"])
+    ], ids=["negative", "inf", "nan", "2-D", "0-d"])
     def test_bad_array_rejected(self, model, e0s):
         with pytest.raises(DomainError):
             integrated_density(model, e0s)
+
+    def test_kmb_overflow_rejected(self):
+        assert integrated_density(ModelKind.KMB, 2.0**511) < math.inf
+        with pytest.raises(DomainError):
+            integrated_density(ModelKind.KMB, 2.0**512)
+        with pytest.raises(DomainError):
+            integrated_density(ModelKind.KMB, np.array([1.0, 1e300]))
 
 
 class TestModalEstimates:

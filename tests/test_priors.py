@@ -134,6 +134,16 @@ class TestTransformToGibbs:
             assert transform_to_gibbs(kind, E, beta) == \
                 pytest.approx(pdf(GibbsPoint(model, beta), E), abs=1e-12)
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_matches_pdf_at_large_E(self, model):
+        # 1 - r^2 rebuilt from r = sqrt(1 - e^-E) lost every digit here
+        E = np.array([10.0, 30.0, 37.5, 100.0, 600.0])
+        for beta in (0.25, 0.7, 1.0):
+            kind = prior_for_model(model, beta)
+            got = transform_to_gibbs(kind, E, beta)
+            want = pdf(GibbsPoint(model, beta), E)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     def test_inconsistent_pair_rejected(self):
         kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)  # beta = 1
         with pytest.raises(DomainError):
