@@ -17,8 +17,9 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError
-from .models import (GibbsPoint, ModelKind, _exp, mean_energy, omega_complex,
+from .models import (GibbsPoint, ModelKind, mean_energy, omega_complex,
                      partition, var_energy)
+from .specfun import per_element
 
 __all__ = [
     "DualExperimentReport",
@@ -69,8 +70,8 @@ def dual_density(model: ModelKind, meanE: float, beta):
     c = 2.0 * model.half_dof
     point = GibbsPoint(model, beta)
     ref = GibbsPoint(model, c / (2.0 * meanE))
-    value = (0.5 * c * _exp(-beta * meanE) * np.sqrt(var_energy(point))
-             * partition(ref) / partition(point))
+    value = (0.5 * c * per_element(math.exp, -beta * meanE)
+             * np.sqrt(var_energy(point)) * partition(ref) / partition(point))
     return value if isinstance(beta, np.ndarray) else float(value)
 
 

@@ -16,6 +16,7 @@ from . import rootfind
 from .errors import DomainError
 from .models import (GibbsPoint, ModelKind, integrated_density,
                      mean_polarization)
+from .specfun import per_element
 
 __all__ = [
     "IntersectionReport",
@@ -32,15 +33,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-def _per_element(fn, x):
-    """fn of a float, or fn applied to every element of a 1-D array, so
-    that array elements equal float results bit for bit (numpy's own
-    transcendentals can round differently in the last ulp)."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, x.size)
-    return fn(x)
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def intersect_brosseau(model: ModelKind) -> IntersectionReport:
 
     def f(b):
         return (mean_polarization(GibbsPoint(model, b))
-                - _per_element(math.tanh, 1.0 / b))
+                - per_element(math.tanh, 1.0 / b))
 
     lo, hi = rootfind.scan_bracket(f, 0.1, 10.0, points=200)
     root = rootfind.brent(f, lo, hi, xtol=1e-14)
@@ -135,7 +127,7 @@ def reduced_temperature(beta: float | np.ndarray) -> float | np.ndarray:
     pol = mean_polarization(GibbsPoint(ModelKind.COMPLEX, beta))
     if np.any(pol >= 1.0):
         raise DomainError("polarization at saturation; artanh undefined")
-    return _per_element(math.atanh, pol)
+    return per_element(math.atanh, pol)
 
 
 def loglinear_fit(beta_lo: float = 1e3, beta_hi: float = 1e5,
@@ -144,7 +136,7 @@ def loglinear_fit(beta_lo: float = 1e3, beta_hi: float = 1e5,
     ln(beta) over a log-spaced grid; the tail law is
     ln x = ln 2 - (1/2) ln pi - (1/2) ln beta."""
     betas = np.logspace(math.log10(beta_lo), math.log10(beta_hi), points)
-    y = _per_element(math.log, reduced_temperature(betas))
+    y = per_element(math.log, reduced_temperature(betas))
     design = np.vstack([np.log(betas), np.ones_like(betas)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0]), float(coef[1])

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, PoleProximityError
-from .specfun import digamma, log_gamma, log_gamma_signed, trigamma
+from .specfun import (digamma, log_gamma, log_gamma_signed, per_element,
+                      trigamma)
 
 __all__ = [
     "ModelKind",
@@ -166,18 +167,6 @@ def _require_positive_beta(point: GibbsPoint):
         raise DomainError(f"beta must be > 0, got {float(low)!r}")
 
 
-def _exp(x):
-    """math.exp of a float or of every element of an array.
-
-    np.exp rounds differently from math.exp in the last ulp for about one
-    argument in twenty; element by element, array results equal the
-    scalar ones bit for bit.
-    """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
-    return math.exp(x)
-
-
 def omega_complex(E):
     """sqrt(1 - e^-E), the complex-family structure function."""
     return np.sqrt(-np.expm1(-np.asarray(E, dtype=float)))
@@ -232,8 +221,9 @@ def partition(point: GibbsPoint) -> float | np.ndarray:
     beta = point.beta
     if point.model is ModelKind.KMB:
         specfun.require_square_floor(beta, "KMB partition", "beta")
-        return _exp(_log_partition_power(0.5, beta)) / beta
-    return _exp(_log_partition_power(point.model.half_dof, beta))
+        return per_element(math.exp, _log_partition_power(0.5, beta)) / beta
+    return per_element(math.exp,
+                       _log_partition_power(point.model.half_dof, beta))
 
 
 def pdf(point: GibbsPoint, E):
@@ -299,18 +289,22 @@ def _kmb_hyp_factor(beta, tol: float = 1e-12):
 
 
 def _thomae_prefactor(beta):
-    return _exp(log_gamma(1.5) + log_gamma(2.0 + beta) + log_gamma(beta)
-                - log_gamma(2.0) - log_gamma(1.0 + beta) - log_gamma(0.5 + beta))
+    return per_element(math.exp, log_gamma(1.5) + log_gamma(2.0 + beta)
+                       + log_gamma(beta) - log_gamma(2.0)
+                       - log_gamma(1.0 + beta) - log_gamma(0.5 + beta))
 
 
 def _polarization(model: ModelKind, beta):
     """<r> for float or array beta > 0, before the cap at 1."""
     if model is ModelKind.KMB:
         return (2.0 * beta * _kmb_hyp_factor(beta) / _SQRT_PI
-                * _exp(log_gamma(0.5 + beta) - log_gamma(2.0 + beta)))
+                * per_element(math.exp, log_gamma(0.5 + beta)
+                              - log_gamma(2.0 + beta)))
     m = model.m
-    return _exp(log_gamma(1.0 + m / 2.0) + log_gamma(0.5 + beta + m / 2.0)
-                - log_gamma(1.0 + beta + m / 2.0) - log_gamma((1.0 + m) / 2.0))
+    return per_element(math.exp, log_gamma(1.0 + m / 2.0)
+                       + log_gamma(0.5 + beta + m / 2.0)
+                       - log_gamma(1.0 + beta + m / 2.0)
+                       - log_gamma((1.0 + m) / 2.0))
 
 
 def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
@@ -407,7 +401,7 @@ def integrated_density(model: ModelKind, E0):
     if model is ModelKind.COMPLEX:
         return 2.0 * (ath - om)
     if model is ModelKind.QUATERNIONIC:
-        return 2.0 * (ath + om * (_exp(-E0) - 4.0) / 3.0)
+        return 2.0 * (ath + om * (per_element(math.exp, -E0) - 4.0) / 3.0)
     return 2.0 * ath  # classical
 
 

@@ -132,7 +132,6 @@ class EnergyInverter:
         z = models.partition(point)
 
         def g(t):
-            t = np.asarray(t, dtype=float)
             E = t * t
             om = models.structure_function(point.model, E)
             with np.errstate(invalid="ignore"):

@@ -105,7 +105,7 @@ def _per_family_partition(model: ModelKind, beta: float) -> float:
 
 
 def _quad_expectation(point: GibbsPoint, weight) -> float:
-    f = lambda E: weight(np.asarray(E, dtype=float)) * models.pdf(point, E)
+    f = lambda E: weight(E) * models.pdf(point, E)
     return quadrature.integrate_semiinfinite(f, tol=1e-10).value
 
 

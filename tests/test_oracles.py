@@ -12,7 +12,7 @@ from scipy.special import betainc
 from scipy.stats import ks_2samp
 
 import blochgibbs
-from blochgibbs.errors import DomainError
+from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                mean_energy, partition, pdf, var_energy)
 from blochgibbs.oracles import (DensityMatrix2, EnergyInverter, energy_cdf,
@@ -51,6 +51,26 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(DomainError):
             integrate_semiinfinite(lambda E: np.exp(-E), tol=-1.0)
 
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX, ModelKind.KMB,
+                                       ModelKind.CLASSICAL])
+    def test_underflowed_integrand_raises_instead_of_zero(self, model):
+        # at beta = 1e9 every node value of E * pdf underflows to 0, while
+        # the true <E> is about 1e-9
+        point = GibbsPoint(model, 1e9)
+        with pytest.raises(QuadratureError, match="found no mass"):
+            integrate_semiinfinite(lambda E: E * pdf(point, E), tol=1e-10)
+
+    def test_nan_integrand_raises(self):
+        f = lambda E: np.where(E > 3.0, np.nan, np.exp(-E))
+        with pytest.raises(QuadratureError, match="error nan"):
+            integrate_semiinfinite(f, tol=1e-10)
+
+    def test_mass_past_last_panel_raises(self):
+        point = GibbsPoint(ModelKind.COMPLEX, 1e-3)
+        with pytest.raises(QuadratureError,
+                           match="did not converge by t = 205"):
+            integrate_semiinfinite(lambda E: E * pdf(point, E), tol=1e-10)
+
 
 class TestIntegrateInterval:
     def test_polynomial_exact(self):
@@ -63,6 +83,24 @@ class TestIntegrateInterval:
                                  5.0, tol=1e-11)
         want = (1 - math.cos(7.3 * 5.0)) / 7.3
         assert abs(res.value - want) <= max(res.abs_error_estimate, 1e-12)
+
+    # endpoint singularities: the summed error over all panels, not a
+    # width-proportional share of tol per panel, decides when to stop
+    @pytest.mark.parametrize("f, want", [
+        (lambda x: -np.log(x), 1.0),
+        (lambda x: -np.log1p(-x), 1.0),
+        (lambda x: 1.0 / np.sqrt(x), 2.0),
+    ], ids=["log_at_0", "log_at_1", "inverse_sqrt_at_0"])
+    def test_endpoint_singularity(self, f, want):
+        res = integrate_interval(f, 0.0, 1.0, tol=1e-11)
+        assert res.value == pytest.approx(want, abs=1e-10)
+        assert res.abs_error_estimate <= 1e-11
+
+    def test_nan_integrand_raises_instead_of_nan(self):
+        f = lambda x: np.where(x > 0.5, np.nan, x)
+        with pytest.raises(QuadratureError, match="error nan") as err:
+            integrate_interval(f, 0.0, 1.0, tol=1e-10)
+        assert err.value.best_estimate is None
 
 
 class TestDensityMatrix2:

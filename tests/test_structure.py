@@ -1,13 +1,13 @@
 """Timing-free guards on how the work is done: no quadrature behind the
-integrated densities, one f call per root scan, and one pair of work
-arrays per unit-argument series call."""
+integrated densities, one f call per root scan, one pair of work arrays
+per unit-argument series call, and one level-batched quadrature engine."""
 
 from pathlib import Path
 
 import numpy as np
 
-from blochgibbs import (magnetics, models, quadrature, rootfind, specfun,
-                        verify)
+from blochgibbs import (duality, magnetics, models, oracles, priors,
+                        quadrature, rootfind, specfun, verify)
 from blochgibbs.errors import BracketingError
 from blochgibbs.figures import render_figure_csv
 from blochgibbs.models import POWER_LAW_MODELS, GibbsPoint, ModelKind
@@ -90,3 +90,62 @@ class TestSeriesWorkArrays:
         models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
         assert len(buffers) > 4
         assert all(buf is buffers[0] for buf in buffers)
+
+
+def _recording(f, calls):
+    def recorded(x):
+        calls.append(x)
+        return f(x)
+    return recorded
+
+
+class TestOneQuadratureEngine:
+    def test_each_call_of_f_gets_one_flat_float_array(self, monkeypatch):
+        calls = []
+        for module, name in ((quadrature, "integrate_interval"),
+                             (quadrature, "integrate_semiinfinite"),
+                             (oracles, "panel_integrals")):
+            entry = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda f, *a, entry=entry, **k: entry(_recording(f, calls),
+                                                      *a, **k))
+        # the KMB prior's endpoint log singularity takes several levels
+        verify._radial_norm(priors.PriorKind(tag=priors.PriorTag.KMB_Q, u=0.5))
+        duality.run_duality_experiment(ModelKind.COMPLEX, 16.3)
+        verify._quad_expectation(GibbsPoint(ModelKind.CLASSICAL, 0.3),
+                                 lambda E: E)
+        oracles.EnergyInverter(GibbsPoint(ModelKind.KMB, 0.7))
+        assert len(calls) > 10
+        for x in calls:
+            assert type(x) is np.ndarray
+            assert x.ndim == 1 and x.dtype == np.float64
+
+    def test_gibbs_mean_energy_takes_at_most_three_calls(self):
+        point = GibbsPoint(ModelKind.COMPLEX, 1.0)
+        calls = []
+        res = quadrature.integrate_semiinfinite(
+            _recording(lambda E: E * models.pdf(point, E), calls), tol=1e-10)
+        assert abs(res.value - models.mean_energy(point)) <= 1e-10
+        assert len(calls) <= 3
+
+    def test_duality_experiment_takes_at_most_22_density_calls(
+            self, monkeypatch):
+        calls = []
+        density = duality.dual_density
+
+        def counted(model, meanE, beta):
+            calls.append(beta)
+            return density(model, meanE, beta)
+
+        monkeypatch.setattr(duality, "dual_density", counted)
+        duality.run_duality_experiment(ModelKind.COMPLEX, 16.3)
+        assert len(calls) <= 22
+
+    def test_semiinfinite_does_not_call_interval(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "integrate_interval", _no_quadrature)
+        for model in ModelKind:
+            point = GibbsPoint(model, 2.0)
+            res = quadrature.integrate_semiinfinite(
+                lambda E: models.pdf(point, E), tol=1e-10)
+            assert abs(res.value - 1.0) <= 1e-10
