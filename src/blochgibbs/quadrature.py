@@ -5,8 +5,8 @@ in levels: each level evaluates every new panel with the Kronrod-15 rule
 and its embedded Gauss-7 rule, in one call of f on the flat 1-D float
 array of all their nodes.  While the summed |Kronrod - Gauss| exceeds
 the tolerance, it halves every panel whose own |Kronrod - Gauss| exceeds
-tol / (panel count).  Past 10^4 panels, or on a NaN error estimate (a
-non-finite f value), it raises QuadratureError.  The tolerance is
+tol / (panel count).  Past 10^4 panels, or on any f value that is +-inf
+or NaN, it raises QuadratureError.  The tolerance is
 absolute throughout.
 
 Semi-infinite integrals substitute E = t^2 (which regularizes the
@@ -84,11 +84,16 @@ class QuadratureResult:
 def _kronrod(f, lo, hi):
     """Kronrod-15 integrals of f over the panels [lo[i], hi[i]] and their
     |Kronrod - Gauss-7| error estimates, from one call of f on the flat
-    1-D array of every node."""
+    1-D array of every node.  QuadratureError ("interval quadrature
+    stalled") if any f value is +-inf or NaN."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    # tested before the rules: the Gauss weight 0 times inf would be NaN
+    if not np.isfinite(fx).all():
+        raise QuadratureError(
+            "interval quadrature stalled at error nan: an f value is not finite")
     k = (fx @ _WEIGHTS_K) * half
     return k, np.abs(k - (fx @ _WEIGHTS_G) * half)
 
@@ -109,7 +114,8 @@ def _adapt(f, edges, tol):
     evals = 15 * k.size
     while not (err := float(e.sum())) <= tol:
         split = e > tol / lo.size
-        # a NaN error means a non-finite f value: no refinement mends it
+        # a NaN error (finite f values whose panel sums overflow) has no
+        # panel to refine
         if math.isnan(err) or lo.size + split.sum() > _MAX_PANELS:
             raise QuadratureError(
                 f"interval quadrature stalled at error {err:.3e} "

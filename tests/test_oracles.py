@@ -103,6 +103,25 @@ class TestIntegrateInterval:
         assert err.value.best_estimate is None
 
 
+class TestNonFiniteIntegrand:
+    # the Kronrod kernel tests f before its rules: a Gauss weight of 0
+    # times inf would otherwise leak "invalid value encountered in matmul"
+    ENTRY_POINTS = {
+        "interval": lambda f: integrate_interval(f, 0.0, 1.0, tol=1e-10),
+        "semiinfinite": lambda f: integrate_semiinfinite(f, tol=1e-10),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_raises_without_warning(self, entry, bad):
+        f = lambda x: np.where(x < 0.25, bad, x)
+        with pytest.raises(QuadratureError,
+                           match="^interval quadrature stalled") as err:
+            self.ENTRY_POINTS[entry](f)
+        assert err.value.best_estimate is None
+
+
 class TestDensityMatrix2:
     def test_roundtrip_through_matrix(self):
         dm = DensityMatrix2(r=0.6, theta=1.1, phi=2.5)
@@ -367,3 +386,31 @@ class TestPageReducedState:
     def test_rejects_small_m(self):
         with pytest.raises(DomainError):
             page_reduced_state(1, rng_seed=1)
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_energy_equals_one_page_sample(self, m):
+        for seed in range(50):
+            want = page_energy_samples(m, seed, 1)[0]
+            got = page_reduced_state(m, rng_seed=seed).energy
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+class TestPageChunks:
+    """``page_energy_samples`` draws and reduces 4096 states at a time."""
+
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8193])
+    def test_counts_around_chunk_boundaries(self, count):
+        e = page_energy_samples(3, 5, count)
+        assert e.shape == (count,) and e.dtype == np.float64
+        assert np.all(np.isfinite(e)) and np.all(e >= 0.0)
+
+    def test_same_seed_same_draws(self):
+        np.testing.assert_array_equal(page_energy_samples(4, 9, 8193),
+                                      page_energy_samples(4, 9, 8193))
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_first_chunk_does_not_depend_on_count(self, m):
+        # each chunk takes its real parts, then its imaginary parts, from
+        # the stream, so a longer run starts with the shorter one
+        np.testing.assert_array_equal(page_energy_samples(m, 21, 8192)[:4096],
+                                      page_energy_samples(m, 21, 4096))

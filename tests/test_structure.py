@@ -1,10 +1,13 @@
 """Timing-free guards on how the work is done: no quadrature behind the
 integrated densities, one f call per root scan, one pair of work arrays
-per unit-argument series call, and one level-batched quadrature engine."""
+per unit-argument series call, one level-batched quadrature engine, and
+oracles whose work arrays do not grow with the draw count."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from blochgibbs import (duality, magnetics, models, oracles, priors,
                         quadrature, rootfind, specfun, verify)
@@ -149,3 +152,31 @@ class TestOneQuadratureEngine:
             res = quadrature.integrate_semiinfinite(
                 lambda E: models.pdf(point, E), tol=1e-10)
             assert abs(res.value - 1.0) <= 1e-10
+
+
+def _peak_mb(fn):
+    """Peak of the numpy and Python allocations made while fn runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    # 1e5 float64 draws are 0.8 MB and the chunked work arrays about 2 MB
+    # more; one complex array of all 1e5 states of C^2 (x) C^m is 3.2 m MB
+    LIMIT_MB = 4.0
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_page_monte_carlo(self, m):
+        peak = _peak_mb(lambda: oracles.page_energy_samples(m, 1, 100_000))
+        assert peak <= self.LIMIT_MB
+
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX, ModelKind.CLASSICAL,
+                                       ModelKind.KMB])
+    def test_inverse_cdf_sampler(self, model):
+        point = GibbsPoint(model, 1.0)
+        peak = _peak_mb(lambda: oracles.sample_energy(point, 1, 100_000))
+        assert peak <= self.LIMIT_MB
