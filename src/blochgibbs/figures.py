@@ -70,10 +70,14 @@ def figure_table(fig_id: str) -> tuple[list[str], list[tuple[float, ...]]]:
 
 
 def write_csv(header: list[str], rows, stream) -> None:
-    """17-significant-digit CSV with LF line endings."""
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    """17-significant-digit CSV with LF line endings, one value per header
+    column in each row.  Each row is formatted with one %-string and the
+    rows are written in one piece: the bytes of formatting every cell with
+    ``{:.17g}`` (inf, nan, -0.0, subnormals and numpy floats included) at
+    about half its cost."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n"
+                 + "".join([line % tuple(row) for row in rows]))
 
 
 def render_figure_csv(fig_id: str) -> str:

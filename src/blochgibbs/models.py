@@ -5,7 +5,9 @@ is the Bloch-ball radial coordinate (degree of polarization).  The four
 power-law families share the structure function (1 - e^-E)^((m-1)/2) with
 dimension parameter m in {1, 2, 4, 0}; the fifth uses the logarithmic
 structure function 2 artanh sqrt(1 - e^-E).  All gamma-function ratios go
-through differences of log_gamma, never through Gamma quotients.
+through differences of log_gamma, never through Gamma quotients, except
+the KMB Thomae prefactor's Gamma(1+beta) / Gamma(1/2+beta) for
+beta < 2.65, whose arguments cannot overflow.
 
 Array beta: ``partition``, ``mean_energy``, ``var_energy`` and
 ``mean_polarization`` also take a GibbsPoint whose beta is a 1-D float
@@ -16,8 +18,8 @@ call).  Every element equals the scalar result bit for bit: the
 arithmetic is the same, operation for operation, with ``math.exp`` and
 ``math.log`` applied per element, so the accuracy against mpmath is the
 scalar path's.  The four calls on a 200-point grid over [0.1, 100] take
-about 1-2 ms for a power-law family and 10-12 ms for KMB, against 4 ms
-and 22-29 ms one beta at a time (2-core x86-64 VM).  Every other
+about 2 ms for a power-law family and 4.7 ms for KMB, against 7-8 ms
+and 38 ms one beta at a time (2-core x86-64 VM).  Every other
 function here takes a float beta; ``integrated_density`` also takes an
 array of E0.
 
@@ -65,6 +67,8 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN2 = math.log(2.0)
+# KMB 3F2 factor: below this beta the Thomae-mapped series is summed
+_THOMAE_BELOW = 2.65
 
 
 class ModelKind(enum.Enum):
@@ -265,22 +269,25 @@ def var_energy(point: GibbsPoint) -> float | np.ndarray:
 def _kmb_hyp_factor(beta, tol: float = 1e-12):
     """3F2({1/2,1,2};{3/2,2+beta};1) for a float or array beta > 0.
 
-    For beta < 3 the series is first mapped by the two-term Thomae
+    For beta < 2.65 the series is first mapped by the two-term Thomae
     relation to 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1), whose
     convergence excess is 2 regardless of beta; the slow small-beta
-    regime then sums just as fast as any other.  An array sums both kinds
-    of rows in one batched call.
+    regime then sums just as fast as any other.  The switch is where the
+    two forms extrapolate equally well from 512 terms (about 3.5e-15
+    relative in exact arithmetic; at beta = 3 the mapped form is off by
+    1.2e-14, the direct one by 1.4e-15).  An array sums both kinds of
+    rows in one batched call.
     """
     if isinstance(beta, np.ndarray):
-        direct = beta >= 3.0
+        direct = beta >= _THOMAE_BELOW
         pref = np.ones_like(beta)
         if not direct.all():
-            pref[~direct] = _thomae_prefactor(beta[~direct])
+            pref[~direct] = per_element(_thomae_prefactor, beta[~direct])
         nums = [np.where(direct, 0.5, -0.5), np.where(direct, 1.0, beta),
                 np.where(direct, 2.0, beta)]
         dens = [np.where(direct, 1.5, 1.0 + beta),
                 np.where(direct, 2.0 + beta, 0.5 + beta)]
-    elif beta >= 3.0:
+    elif beta >= _THOMAE_BELOW:
         pref, nums, dens = 1.0, [0.5, 1.0, 2.0], [1.5, 2.0 + beta]
     else:
         pref = _thomae_prefactor(beta)
@@ -288,10 +295,16 @@ def _kmb_hyp_factor(beta, tol: float = 1e-12):
     return pref * specfun.hyp_pfq_at_1(nums, dens, tol / pref).value
 
 
-def _thomae_prefactor(beta):
-    return per_element(math.exp, log_gamma(1.5) + log_gamma(2.0 + beta)
-                       + log_gamma(beta) - log_gamma(2.0)
-                       - log_gamma(1.0 + beta) - log_gamma(0.5 + beta))
+def _thomae_prefactor(beta: float) -> float:
+    """Gamma(3/2) Gamma(2+beta) Gamma(beta) / (Gamma(2) Gamma(1+beta)
+    Gamma(1/2+beta)) for 0 < beta < 2.65, as (sqrt(pi)/2) (1 + 1/beta)
+    Gamma(1+beta) / Gamma(1/2+beta).  Both gamma arguments lie in
+    (1/2, 4), where math.gamma can neither overflow nor meet a pole, and
+    the quotient is within 8e-16 relative of mpmath.  The exponential of
+    log_gamma differences would be up to 8e-15 off, and 1e-14 with
+    ln Gamma(beta) (about 23 at beta = 1e-10) inside it."""
+    return (0.5 * _SQRT_PI * (1.0 + 1.0 / beta) * math.gamma(1.0 + beta)
+            / math.gamma(0.5 + beta))
 
 
 def _polarization(model: ModelKind, beta):

@@ -212,22 +212,40 @@ TEST_REF = Path(__file__).resolve().parent / "ref"
 class TestReferenceOutputs:
     """Figure, sweep and spectrum output pinned byte for byte."""
 
+    # outputs whose last digits moved since perfbench/ref was captured:
+    # pinned in tests/ref and cross-checked against perfbench/ref below
+    MOVED = {"fig4.csv": {"kmb": 2e-15},
+             "fig5.csv": {"kmb": 2e-14, "gap": 2e-14},
+             "sweep_kmb_400.csv": {"mean_polarization": 2e-14}}
+
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_figure(self, fig_id):
-        ref = TEST_REF if fig_id == "fig4" else REF
+        ref = TEST_REF if f"{fig_id}.csv" in self.MOVED else REF
         want = (ref / f"{fig_id}.csv").read_text()
         assert render_figure_csv(fig_id) == want
 
-    def test_fig4_pin_against_benchmark_reference(self):
+    @pytest.mark.parametrize("name", sorted(MOVED))
+    def test_pin_against_benchmark_reference(self, name):
+        # every other cell string-identical; a moved cell within its
+        # relative tolerance, gap (kmb - complex) within it times |kmb|
         def cells(path):
             return [line.split(",") for line in path.read_text().splitlines()]
 
-        new, old = cells(TEST_REF / "fig4.csv"), cells(REF / "fig4.csv")
+        new, old = cells(TEST_REF / name), cells(REF / name)
         assert new[0] == old[0] and len(new) == len(old)
-        kmb = new[0].index("kmb")
+        moved = {new[0].index(col): rtol
+                 for col, rtol in self.MOVED[name].items()}
+        scale = new[0].index("kmb") if "gap" in new[0] else None
         for a, b in zip(new[1:], old[1:]):
-            assert a[:kmb] + a[kmb + 1:] == b[:kmb] + b[kmb + 1:]
-            assert float(a[kmb]) == pytest.approx(float(b[kmb]), rel=2e-15)
+            assert len(a) == len(b)
+            for j, (x, y) in enumerate(zip(a, b)):
+                if j not in moved:
+                    assert x == y
+                elif new[0][j] == "gap":
+                    assert abs(float(x) - float(y)) <= (
+                        moved[j] * abs(float(a[scale])))
+                else:
+                    assert float(x) == pytest.approx(float(y), rel=moved[j])
 
     @pytest.mark.parametrize("argv, name", [
         (("sweep", "--model", "kmb", "--points", "400"), "sweep_kmb_400.csv"),
@@ -237,7 +255,8 @@ class TestReferenceOutputs:
     def test_command(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out == (REF / name).read_text()
+        assert out == (TEST_REF if name in self.MOVED else REF).joinpath(
+            name).read_text()
 
 
 class TestDualityCommand:

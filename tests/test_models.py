@@ -1,8 +1,10 @@
 import importlib.util
+import json
 import math
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from scipy import special as sps
 
 from blochgibbs.errors import DomainError, PoleProximityError
 from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
+                               _kmb_hyp_factor,
                                approx_beta_large, approx_beta_small,
                                atanh_omega, integrated_density, mean_energy,
                                mean_energy_asymptotic, mean_energy_series,
@@ -367,6 +370,27 @@ class TestMeanEnergySeries:
         want = mean_energy(GibbsPoint(ModelKind.COMPLEX, beta))
         assert res.value == pytest.approx(want, abs=1e-8)
         assert res.terms_used <= 10**4
+
+
+class TestKmbFactorReference:
+    """models._kmb_hyp_factor against 40-digit mpmath values stored in
+    tests/ref/kmb_3f2_mpmath.json (regenerated by kmb_3f2_mpmath.py there;
+    about 10 s, too slow to compute here)."""
+
+    ROWS = json.loads((Path(__file__).resolve().parent / "ref"
+                       / "kmb_3f2_mpmath.json").read_text())
+
+    def test_relative_error(self):
+        betas = np.array([row[0] for row in self.ROWS])
+        got = _kmb_hyp_factor(betas)
+        with mp.workdps(40):
+            err = [float(abs(mp.mpf(g) / mp.mpf(want) - 1))
+                   for g, (_, want) in zip(got.tolist(), self.ROWS)]
+        assert len(err) >= 60
+        assert max(err) <= 1.4e-14
+        assert float(np.median(err)) <= 5e-16
+        # the float path gives the same values
+        assert [_kmb_hyp_factor(b) for b in betas.tolist()] == got.tolist()
 
 
 class TestIntegratedDensity:

@@ -209,6 +209,12 @@ class TestHypPfqAtUnit:
         with pytest.raises(DomainError):
             hyp_pfq_at_1([0.5], [1.5], tol=0.0)
 
+    def test_tiny_excess_runs_out_of_terms(self):
+        # excess 1e-17: 2^-s rounds to 1, where the extrapolation weights
+        # have no finite value; the row must still end in the budget error
+        with pytest.raises(ConvergenceError):
+            hyp_pfq_at_1([1e-17, 1e-17], [3e-17], tol=1e-10)
+
     @pytest.mark.parametrize("a", [300.0, 600.0, 2000.0])
     def test_late_decay_regime(self, a):
         # 2F1(a, 1; a + 3/2; 1) = 2a + 1 (Gauss).  For a >= 256 the local

@@ -1,7 +1,8 @@
 """Timing-free guards on how the work is done: no quadrature behind the
 integrated densities, one f call per root scan, one pair of work arrays
-per unit-argument series call, one level-batched quadrature engine, and
-oracles whose work arrays do not grow with the draw count."""
+per unit-argument series call and the terms it spends, one level-batched
+quadrature engine, and oracles whose work arrays do not grow with the
+draw count."""
 
 import tracemalloc
 from pathlib import Path
@@ -93,6 +94,31 @@ class TestSeriesWorkArrays:
         models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
         assert len(buffers) > 4
         assert all(buf is buffers[0] for buf in buffers)
+
+
+class TestSeriesTermCounts:
+    """The known-exponent ladder certifies the KMB 3F2 rows in their first
+    block; a rule that estimates the decay exponent instead runs most of
+    them to 4,096 terms, and the excess-0.3 row to 32,768."""
+
+    def test_kmb_grid_rows_stop_at_the_first_block(self, monkeypatch):
+        terms = []
+        sum_rows = specfun._sum_rows
+
+        def recording(*args):
+            out = sum_rows(*args)
+            terms.extend(out[2].tolist())
+            return out
+
+        monkeypatch.setattr(specfun, "_sum_rows", recording)
+        models.mean_polarization(GibbsPoint(ModelKind.KMB,
+                                            np.logspace(-1, 1, 200)))
+        assert len(terms) == 200
+        assert max(terms) <= 512
+
+    def test_slow_excess_row(self):
+        res = specfun.hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.3], tol=1e-10)
+        assert res.terms_used <= 1024
 
 
 def _recording(f, calls):
