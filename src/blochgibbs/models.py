@@ -266,33 +266,42 @@ def var_energy(point: GibbsPoint) -> float | np.ndarray:
     return trigamma(beta) - trigamma(point.model.half_dof + beta)
 
 
-def _kmb_hyp_factor(beta, tol: float = 1e-12):
-    """3F2({1/2,1,2};{3/2,2+beta};1) for a float or array beta > 0.
-
-    For beta < 2.65 the series is first mapped by the two-term Thomae
-    relation to 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1), whose
-    convergence excess is 2 regardless of beta; the slow small-beta
-    regime then sums just as fast as any other.  The switch is where the
-    two forms extrapolate equally well from 512 terms (about 3.5e-15
-    relative in exact arithmetic; at beta = 3 the mapped form is off by
-    1.2e-14, the direct one by 1.4e-15).  An array sums both kinds of
-    rows in one batched call.
-    """
+def _kmb_series(beta, tol):
+    """The series behind the KMB 3F2 factor, for float or array beta > 0,
+    summed by one (batched) ``hyp_pfq_at_1`` call to the absolute
+    tolerance ``tol`` (a float or one per element): 3F2({1/2,1,2};{3/2,
+    2+beta};1) itself from beta = 2.65 up, and below it the Thomae-mapped
+    F = 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1), whose convergence
+    excess is 2 regardless of beta; the slow small-beta regime then sums
+    just as fast as any other.  The switch is where the two forms
+    extrapolate equally well from 512 terms (about 3.5e-15 relative in
+    exact arithmetic; at beta = 3 the mapped form is off by 1.2e-14, the
+    direct one by 1.4e-15)."""
     if isinstance(beta, np.ndarray):
         direct = beta >= _THOMAE_BELOW
-        pref = np.ones_like(beta)
-        if not direct.all():
-            pref[~direct] = per_element(_thomae_prefactor, beta[~direct])
         nums = [np.where(direct, 0.5, -0.5), np.where(direct, 1.0, beta),
                 np.where(direct, 2.0, beta)]
         dens = [np.where(direct, 1.5, 1.0 + beta),
                 np.where(direct, 2.0 + beta, 0.5 + beta)]
     elif beta >= _THOMAE_BELOW:
-        pref, nums, dens = 1.0, [0.5, 1.0, 2.0], [1.5, 2.0 + beta]
+        nums, dens = [0.5, 1.0, 2.0], [1.5, 2.0 + beta]
     else:
-        pref = _thomae_prefactor(beta)
         nums, dens = [-0.5, beta, beta], [1.0 + beta, 0.5 + beta]
-    return pref * specfun.hyp_pfq_at_1(nums, dens, tol / pref).value
+    return specfun.hyp_pfq_at_1(nums, dens, tol).value
+
+
+def _kmb_hyp_factor(beta, tol: float = 1e-12):
+    """3F2({1/2,1,2};{3/2,2+beta};1) for a float or array beta > 0, to the
+    absolute tolerance ``tol``: ``_kmb_series``, times the Thomae
+    prefactor below beta = 2.65."""
+    if isinstance(beta, np.ndarray):
+        pref = np.ones_like(beta)
+        mapped = beta < _THOMAE_BELOW
+        if mapped.any():
+            pref[mapped] = per_element(_thomae_prefactor, beta[mapped])
+    else:
+        pref = 1.0 if beta >= _THOMAE_BELOW else _thomae_prefactor(beta)
+    return pref * _kmb_series(beta, tol / pref)
 
 
 def _thomae_prefactor(beta: float) -> float:
@@ -302,7 +311,8 @@ def _thomae_prefactor(beta: float) -> float:
     (1/2, 4), where math.gamma can neither overflow nor meet a pole, and
     the quotient is within 8e-16 relative of mpmath.  The exponential of
     log_gamma differences would be up to 8e-15 off, and 1e-14 with
-    ln Gamma(beta) (about 23 at beta = 1e-10) inside it."""
+    ln Gamma(beta) (about 23 at beta = 1e-10) inside it.  It overflows
+    below beta ~ 5.6e-309."""
     return (0.5 * _SQRT_PI * (1.0 + 1.0 / beta) * math.gamma(1.0 + beta)
             / math.gamma(0.5 + beta))
 
@@ -310,9 +320,15 @@ def _thomae_prefactor(beta: float) -> float:
 def _polarization(model: ModelKind, beta):
     """<r> for float or array beta > 0, before the cap at 1."""
     if model is ModelKind.KMB:
-        return (2.0 * beta * _kmb_hyp_factor(beta) / _SQRT_PI
-                * per_element(math.exp, log_gamma(0.5 + beta)
-                              - log_gamma(2.0 + beta)))
+        series = _kmb_series(beta, 1e-12)
+        r = (2.0 * beta * series / _SQRT_PI
+             * per_element(math.exp, log_gamma(0.5 + beta)
+                           - log_gamma(2.0 + beta)))
+        # below beta = 2.65 this gamma ratio is the inverse of the Thomae
+        # prefactor, exactly: <r> is the mapped series itself
+        if isinstance(beta, np.ndarray):
+            return np.where(beta >= _THOMAE_BELOW, r, series)
+        return r if beta >= _THOMAE_BELOW else series
     m = model.m
     return per_element(math.exp, log_gamma(1.0 + m / 2.0)
                        + log_gamma(0.5 + beta + m / 2.0)
@@ -324,11 +340,17 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
     """<r>, the mean Bloch-vector length; 1 at beta = 0, -> 0 as beta -> inf.
 
     Power-law families use the closed gamma-ratio form
-    Gamma(1+m/2) Gamma(1/2+beta+m/2) / (Gamma(1+beta+m/2) Gamma((1+m)/2));
-    the KMB family evaluates its 3F2 series at tolerance 1e-12.  Float or
-    array beta >= 0.  The result never exceeds 1: below beta of about
-    1e-8 rounding can push the formulas a few ulps above 1 while the true
-    value is within an ulp of 1, and 1 is returned instead.
+    Gamma(1+m/2) Gamma(1/2+beta+m/2) / (Gamma(1+beta+m/2) Gamma((1+m)/2)).
+    KMB: from beta = 2.65 up, 2 beta / sqrt(pi) Gamma(1/2+beta) /
+    Gamma(2+beta) times 3F2({1/2,1,2};{3/2,2+beta};1), summed to 1e-12;
+    below it the gamma ratio cancels the Thomae prefactor exactly, and
+    <r> is the mapped series 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1)
+    itself, summed to 1e-12: within 2.1e-16 relative of 40-digit mpmath
+    up to beta = 2 and 3.4e-15 near the switch, and the exact 1.0 from
+    beta ~ 3e-9 down to 5e-324.  Float or array beta >= 0.  The result
+    never exceeds 1: below beta of about 1e-8 rounding can push the
+    power-law formulas a few ulps above 1 while the true value is within
+    an ulp of 1, and 1 is returned instead.
     """
     beta = point.beta
     if isinstance(beta, np.ndarray):

@@ -393,6 +393,40 @@ class TestKmbFactorReference:
         assert [_kmb_hyp_factor(b) for b in betas.tolist()] == got.tolist()
 
 
+class TestKmbPolarizationReference:
+    """KMB <r> against 2 beta / sqrt(pi) Gamma(1/2+beta) / Gamma(2+beta)
+    times the stored mpmath 3F2 values.  Below beta = 2.65 <r> is the
+    Thomae-mapped series itself; multiplying it by its prefactor and then
+    by the inverse cost up to 7e-15 (median 1.9e-15), and at beta below
+    5.6e-309, where the prefactor overflows, a DomainError."""
+
+    ROWS = [row for row in TestKmbFactorReference.ROWS if row[0] < 2.65]
+
+    def test_mapped_rows_relative_error(self):
+        betas = np.array([row[0] for row in self.ROWS])
+        got = mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+        with mp.workdps(40):
+            err = [float(abs(mp.mpf(g) / (2 * mp.mpf(b) / mp.sqrt(mp.pi)
+                                          * mp.gamma(0.5 + mp.mpf(b))
+                                          / mp.gamma(2 + mp.mpf(b))
+                                          * mp.mpf(want)) - 1))
+                   for g, (b, want) in zip(got.tolist(), self.ROWS)]
+        assert len(err) >= 40
+        assert max(err) <= 4e-15  # the mapped form's own error at the switch
+        assert float(np.median(err)) <= 1e-16
+        assert [mean_polarization(GibbsPoint(ModelKind.KMB, b))
+                for b in betas.tolist()] == got.tolist()
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-310, 5.5e-309, 1e-300])
+    def test_tiny_beta_is_one(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_polarization(GibbsPoint(ModelKind.KMB, beta)) == 1.0
+            got = mean_polarization(GibbsPoint(ModelKind.KMB,
+                                               np.array([beta, 1.0])))
+        assert got[0] == 1.0
+
+
 class TestIntegratedDensity:
     def test_complex_closed_form(self):
         want = 2 * (math.atanh(math.sqrt(0.5)) - math.sqrt(0.5))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
 from blochgibbs.oracles import (DensityMatrix2, EnergyInverter, energy_cdf,
                                 page_energy_samples, page_reduced_state,
                                 sample_energy)
-from blochgibbs.quadrature import integrate_interval, integrate_semiinfinite
+from blochgibbs.quadrature import (integrate_interval, integrate_semiinfinite,
+                                   panel_integrals)
 
 
 class TestIntegrateSemiInfinite:
@@ -343,6 +345,92 @@ print(json.dumps(out))
         for model, beta, finite, z in rows:
             assert finite, (model, beta)
             assert abs(z) <= 5.0, (model, beta, z)
+
+
+class TestSamplerDomain:
+    """The sampler serves 2**-511 <= beta <= 1e100 and raises a DomainError
+    naming itself outside: never a numpy warning, an OverflowError or a
+    structure-function error about NaN E."""
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 1e-10, 1e10, 1e100,
+                                      1e300])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_finite_draws_or_named_domain_error(self, model, beta):
+        point = GibbsPoint(model, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if 2.0**-511 <= beta <= 1e100:
+                assert np.all(np.isfinite(sample_energy(point, 3, 200)))
+            else:
+                with pytest.raises(DomainError, match="inverse-CDF sampler"):
+                    sample_energy(point, 3, 200)
+                with pytest.raises(DomainError, match="inverse-CDF sampler"):
+                    energy_cdf(point, 1.0)
+
+    @pytest.mark.parametrize("beta, outside", [
+        (2.0**-511, np.nextafter(2.0**-511, 0.0)),
+        (1e100, np.nextafter(1e100, math.inf))], ids=["floor", "ceiling"])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_law_of_beta_e_at_the_edges(self, model, beta, outside):
+        # near beta = 0 the law of beta*E tends to Gamma(1) (Gamma(2) for
+        # KMB, whose Omega grows like E), at large beta to Gamma(h) with
+        # h = (m+1)/2 (3/2 for KMB)
+        if beta < 1.0:
+            h = 2.0 if model is ModelKind.KMB else 1.0
+        else:
+            h = 1.5 if model is ModelKind.KMB else model.half_dof
+        n = 4000
+        x = beta * sample_energy(GibbsPoint(model, beta), 12, n)
+        assert abs(np.mean(x) - h) <= 5.0 * math.sqrt(h / n)
+        with pytest.raises(DomainError, match="inverse-CDF sampler"):
+            EnergyInverter(GibbsPoint(model, float(outside)))
+
+
+class TestInverterChunks:
+    """The CDF, the grid and the draws are computed 4096 rows at a time;
+    every value equals the one-piece computation bit for bit."""
+
+    @staticmethod
+    def one_piece_cdf(inv, E):
+        t = np.minimum(np.sqrt(np.clip(E, 0.0, None)), inv._T)
+        idx = inv._panel(inv._t, t)
+        seg, _ = inv._segment(inv._t[idx], inv._g_nodes[idx], t)
+        return inv._cdf[idx] + seg
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_cdf_equals_one_piece_evaluation(self, model):
+        point = GibbsPoint(model, 0.8)
+        inv = EnergyInverter(point)
+        E = np.random.default_rng(4).exponential(2.0, 3 * 4096 + 4)
+        E[:4] = [0.0, -1.0, math.inf, 1e-300]
+        got = energy_cdf(point, E)
+        assert np.array_equal(got, self.one_piece_cdf(inv, E))
+        assert np.array_equal(inv.cdf(E.reshape(-1, 7)), got.reshape(-1, 7))
+        scalar = energy_cdf(point, 1.5)
+        assert type(scalar) is np.float64
+        assert scalar == self.one_piece_cdf(inv, np.array([1.5]))[0]
+
+    def test_cdf_rejects_nan(self):
+        with pytest.raises(DomainError, match="not NaN"):
+            energy_cdf(GibbsPoint(ModelKind.COMPLEX, 1.0),
+                       np.array([1.0] * 5000 + [math.nan]))
+
+    def test_grid_equals_one_piece_integration(self):
+        inv = EnergyInverter(GibbsPoint(ModelKind.KMB, 0.7))
+        panels = np.cumsum(panel_integrals(inv._g, inv._t))
+        assert np.array_equal(inv._cdf[1:], panels / panels[-1])
+
+    @pytest.mark.parametrize("k", [4095, 4096, 4097])
+    def test_draws_do_not_depend_on_count(self, k):
+        point = GibbsPoint(ModelKind.CLASSICAL, 1.3)
+        assert np.array_equal(sample_energy(point, 41, 10_000)[:k],
+                              sample_energy(point, 41, k))
+
+    def test_draws_equal_one_piece_inversion(self):
+        point = GibbsPoint(ModelKind.REAL, 2.0)
+        u = np.random.default_rng(41).random(10_000)
+        assert np.array_equal(sample_energy(point, 41, 10_000),
+                              EnergyInverter(point).quantile(u))
 
 
 class TestInverterDensity:

@@ -2,7 +2,7 @@
 integrated densities, one f call per root scan, one pair of work arrays
 per unit-argument series call and the terms it spends, one level-batched
 quadrature engine, and oracles whose work arrays do not grow with the
-draw count."""
+draw or point count."""
 
 import tracemalloc
 from pathlib import Path
@@ -206,3 +206,21 @@ class TestBoundedMemory:
         point = GibbsPoint(model, 1.0)
         peak = _peak_mb(lambda: oracles.sample_energy(point, 1, 100_000))
         assert peak <= self.LIMIT_MB
+
+    # a one-piece CDF of 1e5 points makes about a dozen 0.8 MB
+    # temporaries (10.5 MB); per chunk it is the output plus about 0.6 MB
+    def test_energy_cdf(self):
+        point = GibbsPoint(ModelKind.COMPLEX, 1.0)
+        energies = np.sort(oracles.page_energy_samples(2, 1, 100_000))
+        assert _peak_mb(lambda: oracles.energy_cdf(point, energies)) <= 2.0
+
+    # one call of g on all 61,440 Kronrod nodes of the grid peaks at 3.1 MB
+    @pytest.mark.parametrize("model", [ModelKind.CLASSICAL, ModelKind.KMB])
+    def test_inverter_build(self, model):
+        point = GibbsPoint(model, 1.0)
+        assert _peak_mb(lambda: oracles.EnergyInverter(point)) <= 1.0
+
+    # verify's sampler and KS checks with four live 1e5-row arrays and a
+    # one-piece CDF peak at 12.9 MB
+    def test_verify_models_suite(self):
+        assert _peak_mb(lambda: verify._suite_models(0)) <= self.LIMIT_MB
