@@ -14,12 +14,16 @@ Accuracy targets (absolute unless noted):
     log_gamma   1e-12 relative to max(1, |ln Gamma|)
     digamma     1e-11 on (0, 1e6]
     trigamma    1e-10 on [2**-511, 1e6]; DomainError below 2**-511
+    half_shift_gamma  L = ln Gamma(x+1/2) - ln Gamma(x) within
+                4e-16 max(1, |L|), D = L' and T = -L'' within 8e-16
+                relative, on [2**-511, 1e20]; DomainError below 2**-511
 
-Arrays: log_gamma, digamma and trigamma also take a float ndarray, and
-hyp_pfq_at_1 sums a batch of series given as parameter arrays.  Each
-element or row equals the corresponding scalar result bit for bit, so the
-targets above hold unchanged; the arrays only remove the per-call Python
-overhead of evaluating a grid one point at a time.
+Arrays: log_gamma, digamma and trigamma also take a float ndarray,
+half_shift_gamma a 1-D one, and hyp_pfq_at_1 sums a batch of series given
+as parameter arrays.  Each element or row equals the corresponding scalar
+result bit for bit, so the targets above hold unchanged; the arrays only
+remove the per-call Python overhead of evaluating a grid one point at a
+time.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "log_gamma_signed",
     "digamma",
     "trigamma",
+    "half_shift_gamma",
     "require_square_floor",
     "pochhammer",
     "hyp_pfq_at_1",
@@ -83,17 +88,42 @@ _BERNOULLI = (
 
 _SHIFT_GAMMA = 10.0
 _SHIFT_PSI = 6.0
+
+# B_k(1/2) - B_k(0) = (2^(1-k) - 2) B_k, k = 2, 4, ..., 20, from B_k as
+# numerator / denominator: the 1/x expansions of the half-shift primitive
+_HALF_SHIFT_B = np.array([
+    (2.0 ** (1 - k) - 2.0) * p / q for k, (p, q) in zip(range(2, 22, 2), (
+        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+        (-3617, 510), (43867, 798), (-174611, 330)))])
+_HALF_SHIFT_K = np.arange(2.0, 22.0, 2.0)
+# row i: the coefficients of w^i (w = 1/x^2, k = 2i + 2) in (L - ln(x)/2) x,
+# (D - 1/(2x)) / w and (T - w/2) x / w, as a column for broadcasting
+_HALF_SHIFT_COEFFS = np.column_stack((
+    _HALF_SHIFT_B / (_HALF_SHIFT_K * (_HALF_SHIFT_K - 1.0)),
+    -_HALF_SHIFT_B / _HALF_SHIFT_K, -_HALF_SHIFT_B))[:, :, None]
+# below this the primitive first takes this many unit steps up
+_SHIFT_HALF = 12.0
+_HALF_STEPS = np.arange(_SHIFT_HALF)
 # smallest x with x*x a normal double, so 1/(x*x) is finite
 _SQUARE_FLOOR = 2.0**-511
 _SQUARE_FLOOR_MSG = "{} requires {} >= 2**-511 (about 1.49e-154), got {!r}"
 
 # Unit-argument series: first block length (later blocks double the sum),
 # term budget, and float64 per work array of a block (two are live).
-_FIRST_BLOCK = 512
+_FIRST_BLOCK = 128
 _MAX_TERMS = 10**6
 _BLOCK_ELEMENTS = 2**14
+# Before this boundary a row stops on its tail only below half an ulp of
+# its sum; the ladder must start at K >= 4 for its certificate, which at
+# 256, still reaching back to K = 4, needs a change of at most tol / 32
+# instead of tol / 2 (the KMB rows it certified at tol / 2 were off by up
+# to 0.4 tol; at tol / 32 by at most 0.034 tol)
+_EARLY_BELOW = 512
+_EARLY_TAIL = 2.0**-54
+_EARLY_CHANGE = 1.0 / 32.0
+_LADDER_START = 4
 # Richardson ladder (see _sum_rows): its levels, the first block's column
-# indices K - 1 of its seven points K = 8, ..., 512, and the coefficients
+# indices K - 1 of its seven points K = 2, ..., 128, and the coefficients
 # of prod_{i<6} (z - 2^-i), then of z prod_{i<5} (z - 2^-i), constant
 # term first (exact dyadic rationals)
 _LADDER = 6
@@ -273,6 +303,66 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
     return acc + 1.0 / x + 0.5 * z + tail * z / x
 
 
+def half_shift_gamma(x):
+    """(L, D, T) for x >= 2**-511: L(x) = ln Gamma(x + 1/2) - ln Gamma(x),
+    D = L' = psi(x + 1/2) - psi(x) and T = -L'' = psi'(x) - psi'(x + 1/2).
+
+    Every gamma quotient whose arguments differ by 1/2 is e^(+-L), so Z,
+    <E> and var E of such a family need these three and nothing that
+    cancels.  Below x = 12 the upward recurrences L(x) = L(x+1) -
+    log1p(1/(2x)), D(x) = D(x+1) + 1/(2x(x+1/2)) and T(x) = T(x+1) +
+    (x+1/4)/(x^2 (x+1/2)^2), whose terms all have one sign, take x up by
+    12; from x = 12 on the 1/x expansions with the coefficients
+    (2^(1-k) - 2) B_k / (k (k-1)), k = 2, ..., 20 (DLMF 5.11) give L =
+    ln(x)/2 - 1/(8x) + 1/(192 x^3) - ..., D = 1/(2x) + 1/(8x^2) - ...
+    and T = 1/(2x^2) + 1/(4x^3) + ....  Against 50-digit mpmath on
+    [2**-511, 1e20]: D and T within 8e-16 relative and L within
+    4e-16 max(1, |L|) absolute.  L crosses 0 near x = 1.2, so its
+    absolute error is what is small everywhere; it is the relative error
+    of e^(+-L).
+
+    ``x`` is a float or a 1-D float ndarray; an array returns three
+    arrays.  A float runs the array code on one element, so it equals the
+    array element bit for bit.  Below 2**-511 T ~ 1/x^2 leaves the double
+    range, and a smaller positive x raises DomainError, as does any x
+    that is not finite and positive; above 2**511 T ~ 1/(2x^2) underflows
+    towards 0.  200 elements take about 0.1 ms, a float about 70 us
+    (2-core x86-64 VM).
+    """
+    if not isinstance(x, np.ndarray):
+        _require_positive(x, "half_shift_gamma")
+        L, D, T = half_shift_gamma(np.array([x], dtype=float))
+        return float(L[0]), float(D[0]), float(T[0])
+    x = np.array(x, dtype=float)
+    if x.ndim != 1 or not np.all((x >= _SQUARE_FLOOR) & (x < math.inf)):
+        require_square_floor(x, "half_shift_gamma")
+        raise DomainError("half_shift_gamma requires a 1-D array of finite "
+                          "positive arguments")
+    # the sums of the recurrence terms of log1p(1/(2x)), 1/(2x(x+1/2)) and
+    # (x+1/4)/(x^2 (x+1/2)^2) over x, x+1, ..., x+11 for every x below 12
+    steps = np.zeros((3, x.size))
+    low = np.flatnonzero(x < _SHIFT_HALF)
+    if low.size:
+        y = np.add.outer(x[low], _HALF_STEPS)
+        half = y + 0.5
+        terms = np.empty((3,) + y.shape)
+        np.log1p(0.5 / y, out=terms[0])
+        np.divide(0.5, y * half, out=terms[1])
+        np.divide((y + 0.25) / (y * y), half * half, out=terms[2])
+        steps[:, low] = np.add.reduce(terms, axis=2)
+        x[low] += _SHIFT_HALF
+    u = 1.0 / x
+    w = u * u
+    tail = _HALF_SHIFT_COEFFS[-1] * np.ones_like(w)
+    for c in _HALF_SHIFT_COEFFS[-2::-1]:
+        tail *= w
+        tail += c
+    L = (0.5 * np.log(x) + u * tail[0]) - steps[0]
+    D = (0.5 * u + w * tail[1]) + steps[1]
+    T = (0.5 * w + w * u * tail[2]) + steps[2]
+    return L, D, T
+
+
 def _dilog_small(a: np.ndarray) -> np.ndarray:
     """Li2(a) = sum_{k>=1} a^k / k^2 for a float array with 0 <= a <= 0.15.
 
@@ -355,7 +445,7 @@ def _decay_ceiling(K):
 
 
 # the decay ceilings at the first block's ladder points, and the starts of
-# its segments [0, 8), [8, 16), ..., [256, 512)
+# its segments [0, 2), [2, 4), ..., [64, 128)
 _FIRST_DECAY = np.array([_decay_ceiling(K + 1.0) for K in _CUTS.tolist()])
 _FIRST_SEGMENTS = np.concatenate(([0], _CUTS[:-1] + 1))
 
@@ -384,28 +474,33 @@ def _sum_rows(a, b, excess, tol):
 
     a: (rows, p) numerators, b: (rows, q) denominators, excess: (rows,)
     s = sum(b) - sum(a) > 0, tol: (rows,).  Returns (value, tail_bound,
-    terms) arrays.  All rows share the block boundaries 512, 1024, ...;
-    a block goes through its rows in slices whose two work arrays, in one
-    buffer per call, hold at most _BLOCK_ELEMENTS float64 each unless a
-    single row outgrows them (see ``_block_terms``).
+    terms) arrays.  All rows share the block boundaries 128, 256, 512,
+    ...; a block goes through its rows in slices whose two work arrays,
+    in one buffer per call, hold at most _BLOCK_ELEMENTS float64 each
+    unless a single row outgrows them (see ``_block_terms``).
 
     Each row keeps its partial sums at its last seven ladder points,
-    K = 8, 16, ..., 512 from the first block's segment sums and then each
-    boundary, relative to S_8 so that their differences carry no rounding
+    K = 2, 4, ..., 128 from the first block's segment sums and then each
+    boundary, relative to S_2 so that their differences carry no rounding
     of the leading terms.  S - S_K ~ K^-s (d_0 + d_1/K + ...), so the
     6-level Richardson table with exponents s, ..., s + 5 over them
     strips the first six terms (``_ladder_weights``).  Once all seven
     points lie in the decaying regime (``_decay_ceiling``), a row is
-    certified when the table's top level changes the value by at most
-    tol / 2 (value: the top value) or the modelled tail |t_K| K / s is at
-    most tol / 4 (value: S_K), and at once when its terms underflow to 0.
-    The bound is that change or tail, plus 1e-15 of the value.
+    certified when the modelled tail |t_K| K / s is at most tol / 4
+    (value: S_K) or, from the 256 boundary on, where the ladder starts
+    at K >= 4, when the table's top level changes the value by at most
+    tol / 2 (value: the top value); and at once when its terms underflow
+    to 0.  Before the 512 boundary the tail must also lie below half an
+    ulp of S_K (2^-54 |S_K|), so that no later term can change the sum,
+    and the change of the 256 table, which reaches back to K = 4, must
+    be at most tol / 32.  The bound is that change or tail, plus 1e-15
+    of the value.
     """
     n = len(tol)
     value = np.empty(n)
     bound = np.empty(n)
     terms = np.empty(n, dtype=np.int64)
-    weights = _ladder_weights(excess)
+    weights = None  # built for the rows still live at the first ladder
     live = np.arange(n)
     t0 = np.ones(n)
     buf = np.empty((2, min(n, _BLOCK_ELEMENTS // _FIRST_BLOCK) * _FIRST_BLOCK))
@@ -424,7 +519,7 @@ def _sum_rows(a, b, excess, tol):
             ladder = np.zeros((live.size, _LADDER + 1))
             decaying = np.empty((live.size, _LADDER + 1), dtype=bool)
         else:
-            ladder = np.column_stack((ladder[:, 1:], ladder[:, -1]))
+            ladder[:, :-1] = ladder[:, 1:]
             decaying = np.empty(live.size, dtype=bool)
         for i in range(0, live.size, step):
             rows = slice(i, i + step)
@@ -432,7 +527,7 @@ def _sum_rows(a, b, excess, tol):
             t_next[rows] = work[:, -1] * ratios[:, -1]
             if first:
                 decaying[rows] = np.abs(ratios[:, _CUTS]) < _FIRST_DECAY
-                # S_8, then the sums over [8, 16), [16, 32), ..., [256, 512)
+                # S_2, then the sums over [2, 4), [4, 8), ..., [64, 128)
                 segments = np.add.reduceat(work, _FIRST_SEGMENTS, axis=1)
                 base[rows] = segments[:, 0]
                 np.add.accumulate(segments[:, 1:], axis=1,
@@ -446,15 +541,25 @@ def _sum_rows(a, b, excess, tol):
                 np.multiply.accumulate(decaying[:, ::-1], axis=1), axis=1)
         else:
             streak = (streak + 1) * decaying
-        top, below = np.add.reduce(weights * ladder[:, None, :], axis=2).T
-        change = np.abs(top - below)
-        tail = np.abs(t_next) * (k0 / excess)
+        est = base + ladder[:, -1]
+        err = np.abs(t_next) * (k0 / excess)
         exact = t_next == 0.0
         settled = streak > _LADDER
-        extrapolated = settled & (change <= 0.5 * tol) & ~exact
-        done = extrapolated | settled & (tail <= 0.25 * tol) | exact
-        est = base + np.where(extrapolated, top, ladder[:, -1])
-        err = np.where(extrapolated, change, tail) + np.abs(est) * 1e-15
+        done = settled & (err <= 0.25 * tol)
+        if k0 < _EARLY_BELOW:
+            done &= err <= _EARLY_TAIL * np.abs(est)
+        if k0 >> _LADDER >= _LADDER_START:
+            if weights is None:
+                weights = _ladder_weights(excess)
+            top, below = np.add.reduce(weights * ladder[:, None, :], axis=2).T
+            change = np.abs(top - below)
+            bar = _EARLY_CHANGE if k0 < _EARLY_BELOW else 0.5
+            extrapolated = settled & (change <= bar * tol) & ~exact
+            done |= extrapolated
+            est = np.where(extrapolated, base + top, est)
+            err = np.where(extrapolated, change, err)
+        done |= exact
+        err += np.abs(est) * 1e-15
         certified = np.count_nonzero(done)
         if certified == n:  # every row certified at the same boundary
             terms.fill(k0)
@@ -467,7 +572,9 @@ def _sum_rows(a, b, excess, tol):
             keep = ~done
             live, a, b, excess, tol = (live[keep], a[keep], b[keep],
                                        excess[keep], tol[keep])
-            weights, base, ladder = weights[keep], base[keep], ladder[keep]
+            base, ladder = base[keep], ladder[keep]
+            if weights is not None:
+                weights = weights[keep]
             streak, t_next, est = streak[keep], t_next[keep], est[keep]
         if k0 >= _MAX_TERMS:
             raise ConvergenceError(
@@ -475,7 +582,7 @@ def _sum_rows(a, b, excess, tol):
                 f"terms (numerators {a[0].tolist()}, denominators "
                 f"{b[0].tolist()})", best_estimate=float(est[0]))
         t0 = t_next
-        block = k0  # boundaries double: 512, 1024, 2048, ...
+        block = k0  # boundaries double: 128, 256, 512, ...
 
 
 def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
@@ -483,16 +590,21 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
 
     Terms are generated by the ratio recursion
     t_{k+1}/t_k = prod(a_i + k) / (prod(b_j + k) (k + 1)) and summed in
-    vectorized blocks of 512, 512, 1024, 2048, ... terms.  The terms
-    decay like k^(-1-s) with s = sum(b) - sum(a), so the error of the
-    partial sum S_K expands in K^-s, K^-(s+1), ...; at each block
-    boundary a 6-level Richardson table with exactly those exponents runs
-    over the partial sums at K/64, K/32, ..., K.  The summation stops
-    once the terms are in their decaying regime and either the table's
-    top level changes the value by at most tol / 2 or the modelled tail
-    |t_K| K / s is at most tol / 4 (see ``_sum_rows``).  Most series stop
-    at 512 terms: the 200 KMB factors of a beta grid on [0.1, 10] all do,
-    and so does 3F2(1/2, 1, 2; 3/2, 2.3; 1) (s = 0.3) at tol 1e-10.
+    vectorized blocks of 128, 128, 256, 512, ... terms, so the block
+    boundaries double: 128, 256, 512, ....  The terms decay like
+    k^(-1-s) with s = sum(b) - sum(a), so the error of the partial sum
+    S_K expands in K^-s, K^-(s+1), ...; at each boundary a 6-level
+    Richardson table with exactly those exponents runs over the partial
+    sums at K/64, K/32, ..., K.  Once the terms are in their decaying
+    regime a row stops when the modelled tail |t_K| K / s is at most
+    tol / 4, or, with the table's certificate, when its top level
+    changes the value by at most tol / 2 (see ``_sum_rows``).  Before the
+    512 boundary the table starts too early for its expansion: at 128
+    (K = 2) it certifies nothing, at 256 (K = 4) only a change of at most
+    tol / 32; and a row may stop on its tail only where that tail is
+    below half an ulp of its sum, where no further term can change it.  The 200 KMB series of a beta grid on
+    [0.1, 10] stop at 256 or 512 terms, on [10, 1000] at 128 or 256,
+    and 3F2(1/2, 1, 2; 3/2, 2.3; 1) (s = 0.3) at tol 1e-10 at 512.
 
     Batches: every parameter and ``tol`` may be a float or a 1-D array,
     the arrays of equal length; row i sums the series with the i-th
@@ -506,8 +618,9 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     at most 2^14 float64 each and are allocated once per call, and each
     row keeps a few floats of state, so memory does not grow with the
     batch beyond its parameters and results.  One batch of the 200 KMB
-    factors of a beta grid on [0.1, 100] takes about 2.4 ms, against
-    29 ms for 200 one-row calls (2-core x86-64 VM).
+    series of a beta grid on [0.1, 100] takes about 1.5 ms, against
+    43 ms for 200 one-row calls (2-core x86-64 VM); a one-row call pays
+    about 60 us per boundary it crosses.
 
     Raises ConvergenceError when s <= 0 (non-terminating series diverges
     at unit argument) or when 10^6 terms do not certify ``tol`` (in a

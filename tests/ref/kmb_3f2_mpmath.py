@@ -1,6 +1,7 @@
 """Regenerate kmb_3f2_mpmath.json: [beta, value] rows with 40-digit mpmath
 values of the KMB factor 3F2({1/2, 1, 2}; {3/2, 2 + beta}; 1) that
-``models._kmb_hyp_factor`` sums.
+``models.mean_polarization`` sums for KMB (directly from beta = 2.65 up,
+Thomae-mapped below).
 
 Run from the repository root:
 

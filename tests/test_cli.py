@@ -213,10 +213,17 @@ class TestReferenceOutputs:
     """Figure, sweep and spectrum output pinned byte for byte."""
 
     # outputs whose last digits moved since perfbench/ref was captured:
-    # pinned in tests/ref and cross-checked against perfbench/ref below
-    MOVED = {"fig4.csv": {"kmb": 2e-15},
+    # pinned in tests/ref and cross-checked against perfbench/ref below,
+    # each column within its measured distance from that copy (the fig4
+    # power laws and the KMB Z, <E> and var E moved towards mpmath: by up
+    # to 4.9e-6 relative, 2.1e-16 absolute, at small E0, and by up to
+    # 9.2e-13 where log_gamma differences cancelled)
+    MOVED = {"fig4.csv": {"complex": 3e-11, "quaternionic": 5e-6,
+                          "kmb": 2e-15},
              "fig5.csv": {"kmb": 2e-14, "gap": 2e-14},
-             "sweep_kmb_400.csv": {"mean_polarization": 2e-14}}
+             "sweep_kmb_400.csv": {"partition": 2e-13, "mean_energy": 1e-13,
+                                   "var_energy": 1e-12,
+                                   "mean_polarization": 2e-14}}
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_figure(self, fig_id):

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import math
@@ -13,7 +14,6 @@ from scipy import special as sps
 
 from blochgibbs.errors import DomainError, PoleProximityError
 from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
-                               _kmb_hyp_factor,
                                approx_beta_large, approx_beta_small,
                                atanh_omega, integrated_density, mean_energy,
                                mean_energy_asymptotic, mean_energy_series,
@@ -23,6 +23,7 @@ from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                reflection_identity_residual,
                                structure_function, var_energy)
 from blochgibbs.quadrature import integrate_semiinfinite
+from blochgibbs.specfun import hyp_pfq_at_1
 
 LN2 = math.log(2.0)
 ALL_MODELS = POWER_LAW_MODELS + (ModelKind.KMB,)
@@ -317,8 +318,9 @@ class TestArrayBeta:
         got = op(GibbsPoint(model, betas))
         want = np.array([op(GibbsPoint(model, b)) for b in betas.tolist()])
         assert got.shape == betas.shape
-        # the same operations with math.exp and math.log per element: equal
-        # bit for bit, stricter than 1e-15 relative
+        # the same operations (math.exp and math.log per element; a float
+        # KMB beta on a one-element array): equal bit for bit, stricter
+        # than 1e-15 relative
         np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=25, deadline=None)
@@ -372,50 +374,59 @@ class TestMeanEnergySeries:
         assert res.terms_used <= 10**4
 
 
-class TestKmbFactorReference:
-    """models._kmb_hyp_factor against 40-digit mpmath values stored in
-    tests/ref/kmb_3f2_mpmath.json (regenerated by kmb_3f2_mpmath.py there;
-    about 10 s, too slow to compute here)."""
+class TestKmbPolarizationReference:
+    """KMB <r> against 2 beta / sqrt(pi) Gamma(1/2+beta) / Gamma(2+beta)
+    times the 40-digit mpmath values of 3F2({1/2,1,2};{3/2,2+beta};1)
+    stored in tests/ref/kmb_3f2_mpmath.json (regenerated by
+    kmb_3f2_mpmath.py there; about 10 s, too slow to compute here).
+    Below beta = 2.65 <r> is the Thomae-mapped series itself; from 2.65
+    up it is the direct series times 2 e^L / (sqrt(pi) (1 + beta))."""
 
     ROWS = json.loads((Path(__file__).resolve().parent / "ref"
                        / "kmb_3f2_mpmath.json").read_text())
 
-    def test_relative_error(self):
-        betas = np.array([row[0] for row in self.ROWS])
-        got = _kmb_hyp_factor(betas)
-        with mp.workdps(40):
-            err = [float(abs(mp.mpf(g) / mp.mpf(want) - 1))
-                   for g, (_, want) in zip(got.tolist(), self.ROWS)]
-        assert len(err) >= 60
-        assert max(err) <= 1.4e-14
-        assert float(np.median(err)) <= 5e-16
-        # the float path gives the same values
-        assert [_kmb_hyp_factor(b) for b in betas.tolist()] == got.tolist()
-
-
-class TestKmbPolarizationReference:
-    """KMB <r> against 2 beta / sqrt(pi) Gamma(1/2+beta) / Gamma(2+beta)
-    times the stored mpmath 3F2 values.  Below beta = 2.65 <r> is the
-    Thomae-mapped series itself; multiplying it by its prefactor and then
-    by the inverse cost up to 7e-15 (median 1.9e-15), and at beta below
-    5.6e-309, where the prefactor overflows, a DomainError."""
-
-    ROWS = [row for row in TestKmbFactorReference.ROWS if row[0] < 2.65]
-
-    def test_mapped_rows_relative_error(self):
-        betas = np.array([row[0] for row in self.ROWS])
+    def _errors(self, rows):
+        betas = np.array([row[0] for row in rows])
         got = mean_polarization(GibbsPoint(ModelKind.KMB, betas))
         with mp.workdps(40):
             err = [float(abs(mp.mpf(g) / (2 * mp.mpf(b) / mp.sqrt(mp.pi)
                                           * mp.gamma(0.5 + mp.mpf(b))
                                           / mp.gamma(2 + mp.mpf(b))
                                           * mp.mpf(want)) - 1))
-                   for g, (b, want) in zip(got.tolist(), self.ROWS)]
+                   for g, (b, want) in zip(got.tolist(), rows)]
+        # the float path gives the same values
+        assert [mean_polarization(GibbsPoint(ModelKind.KMB, b))
+                for b in betas.tolist()] == got.tolist()
+        return err
+
+    def test_every_row_is_checked(self):
+        assert len(self.ROWS) == 66
+
+    def test_mapped_rows_relative_error(self):
+        err = self._errors([row for row in self.ROWS if row[0] < 2.65])
         assert len(err) >= 40
         assert max(err) <= 4e-15  # the mapped form's own error at the switch
         assert float(np.median(err)) <= 1e-16
-        assert [mean_polarization(GibbsPoint(ModelKind.KMB, b))
-                for b in betas.tolist()] == got.tolist()
+
+    def test_direct_rows_relative_error(self):
+        # the series is certified to 1e-15 relative here; the gamma ratio
+        # is still a log_gamma difference, good to 1e-15 |ln Gamma(2 + beta)|
+        rows = [row for row in self.ROWS if row[0] >= 2.65]
+        err = self._errors(rows)
+        assert len(err) >= 20
+        for e, (b, _) in zip(err, rows):
+            assert e <= 1e-14 + 1e-15 * math.lgamma(2.0 + b)
+
+    def test_direct_series_relative_error(self):
+        # the series behind the direct rows, as mean_polarization sums it
+        rows = [row for row in self.ROWS if row[0] >= 2.65]
+        betas = np.array([row[0] for row in rows])
+        got = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.0 + betas], 1e-13).value
+        with mp.workdps(40):
+            err = [float(abs(mp.mpf(g) / mp.mpf(want) - 1))
+                   for g, (_, want) in zip(got.tolist(), rows)]
+        assert max(err) <= 4e-15
+        assert float(np.median(err)) <= 5e-16
 
     @pytest.mark.parametrize("beta", [5e-324, 1e-310, 5.5e-309, 1e-300])
     def test_tiny_beta_is_one(self, beta):
@@ -425,6 +436,76 @@ class TestKmbPolarizationReference:
             got = mean_polarization(GibbsPoint(ModelKind.KMB,
                                                np.array([beta, 1.0])))
         assert got[0] == 1.0
+
+
+@functools.cache
+def _kmb_reference(beta):
+    """(Z, <E>, var E, <r>) of the KMB family at 40 digits.  <r> is the
+    Thomae-mapped 3F2 below beta = 2.65 and otherwise 2 e^L F /
+    (sqrt(pi) (1 + beta)) with F = sum_k (k+1)! / ((2k+1) (2+beta)_k)
+    summed term by term, which the domain points from 1e5 up make short."""
+    # ln Gamma(beta) has about log10(beta) digits before the point
+    with mp.workdps(40 + max(0, int(math.log10(beta)))):
+        b = mp.mpf(beta)
+        lg = mp.loggamma(b + 0.5) - mp.loggamma(b)
+        z = mp.sqrt(mp.pi) * mp.exp(-lg) / b
+        e = 1 / b + mp.digamma(b + 0.5) - mp.digamma(b)
+        v = 1 / b**2 + mp.psi(1, b) - mp.psi(1, b + 0.5)
+        if beta < 2.65:
+            r = mp.hyp3f2(-0.5, b, b, 1 + b, 0.5 + b, 1)
+        else:
+            assert beta >= 1e5
+            f, c, k = mp.mpf(0), mp.mpf(1), 0
+            while c > mp.mpf(10)**-45:
+                f += c / (2 * k + 1)
+                c *= (k + 2) / (2 + b + k)
+                k += 1
+            r = 2 * f * mp.exp(lg) / (mp.sqrt(mp.pi) * (1 + b))
+        return z, e, v, r
+
+
+class TestKmbDomain:
+    """The KMB moments at the corners of their domain, float and array
+    alike, with warnings as errors: each call matches 40-digit mpmath
+    within its docstring's accuracy or, outside 2**-511 <= beta <= 2**511
+    for Z, <E> and var E and above beta = 1e11 for <r>, raises
+    DomainError."""
+
+    BETAS = (2.0**-512, 2.0**-511, 1e-10, 1e-5, 1.0, 1e5, 1e10, 1e20, 1e300)
+    OPS = (partition, mean_energy, var_energy, mean_polarization)
+
+    @staticmethod
+    def _bound(op, beta):
+        if op in (mean_energy, var_energy):
+            return 1e-15
+        if op is mean_polarization:
+            if beta < 2.65:
+                return 4e-15
+            return 1e-14 + 1e-15 * math.lgamma(2.0 + beta)
+        # Z carries e^-L, and so the absolute error of L, 4e-16 max(1, |L|)
+        return 8e-15 if beta >= 1e-10 else 4e-16 * abs(math.log(beta))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
+    def test_matches_mpmath_or_raises(self, op, beta):
+        if op is mean_polarization:
+            outside = beta > 1e11
+        else:
+            outside = not 2.0**-511 <= beta <= 2.0**511
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (beta, np.array([beta]), np.array([1.0, beta])):
+                point = GibbsPoint(ModelKind.KMB, arg)
+                if outside:
+                    with pytest.raises(DomainError, match="KMB"):
+                        op(point)
+                    continue
+                got = op(point)
+                got = float(got[-1]) if isinstance(arg, np.ndarray) else got
+                want = _kmb_reference(beta)[self.OPS.index(op)]
+                with mp.workdps(40):
+                    err = float(abs(mp.mpf(got) / want - 1))
+                assert err <= self._bound(op, beta)
 
 
 class TestIntegratedDensity:
@@ -486,6 +567,39 @@ class TestIntegratedDensity:
                    for g, e in zip(got.tolist(), e0s)]
         assert max(rel) <= 5e-16
         assert float(np.median(rel)) <= 1.5e-16
+
+    @pytest.mark.parametrize("model, bound", [(ModelKind.COMPLEX, 8e-16),
+                                              (ModelKind.QUATERNIONIC, 4.5e-15)])
+    def test_power_law_relative_error(self, model, bound):
+        # the closed forms cancel at small E0 (quaternionic 4.9e-6 and
+        # complex 2.7e-11 relative at E0 = 1e-5 before the series)
+        e0 = -math.log1p(-0.49)
+        e0s = np.concatenate((np.logspace(-5, 1.7, 400), [1e-20, 1e-12],
+                              e0 + np.spacing(e0) * np.arange(-4, 5)))
+        got = integrated_density(model, e0s)
+        with mp.workdps(80):
+            err = []
+            for g, e in zip(got.tolist(), e0s.tolist()):
+                w = mp.sqrt(-mp.expm1(-mp.mpf(e)))
+                want = 2 * (mp.atanh(w) - w)
+                if model is ModelKind.QUATERNIONIC:
+                    want -= 2 * w**3 / 3
+                err.append(float(abs(mp.mpf(g) / want - 1)))
+        assert max(err) <= bound
+        assert max(err[:1] + err[400:402]) <= 4e-16  # E0 = 1e-5, 1e-20, 1e-12
+
+    @pytest.mark.parametrize("model", (ModelKind.COMPLEX,
+                                       ModelKind.QUATERNIONIC))
+    def test_power_law_series_at_the_switch(self, model):
+        # 65 consecutive doubles around omega^2 = 0.49, where the series
+        # hands over to the closed form: float equals array bit for bit
+        e0 = -math.log1p(-0.49)
+        e0s = e0 + np.spacing(e0) * np.arange(-32, 33)
+        got = integrated_density(model, e0s)
+        assert got.tolist() == [integrated_density(model, e)
+                                for e in e0s.tolist()]
+        r2 = -np.expm1(-e0s)
+        assert (r2 < 0.49).any() and (r2 >= 0.49).any()
 
     def test_kmb_forms_agree_at_the_switch(self):
         # 65 consecutive doubles around r = 0.7, where the series hands over

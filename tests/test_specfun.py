@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from blochgibbs import specfun
 from blochgibbs.errors import ConvergenceError, DomainError
-from blochgibbs.specfun import (SeriesResult, digamma, hyp_pfq_at_1, log_gamma,
-                                log_gamma_signed, pochhammer, trigamma)
+from blochgibbs.specfun import (SeriesResult, digamma, half_shift_gamma,
+                                hyp_pfq_at_1, log_gamma, log_gamma_signed,
+                                pochhammer, trigamma)
 
 mp.mp.dps = 50
 
@@ -148,6 +149,66 @@ class TestTrigammaFloor:
                     trigamma(arg)
 
 
+class TestHalfShiftGamma:
+    """L = ln Gamma(x+1/2) - ln Gamma(x), D = L' and T = -L''."""
+
+    GRID = np.concatenate((np.logspace(-10, 20, 151),
+                           [2.0**-511, 1e-100, 0.5, 1.2, 1.26, 11.999, 12.0,
+                            12.001, 24.0]))
+
+    def test_against_mpmath(self):
+        L, D, T = half_shift_gamma(self.GRID)
+        for x, lv, dv, tv in zip(self.GRID.tolist(), L, D, T):
+            # ln Gamma(x) has about log10(x) digits before the point
+            with mp.workdps(50 + max(0, int(math.log10(x)))):
+                X = mp.mpf(x)
+                ml = mp.loggamma(X + 0.5) - mp.loggamma(X)
+                md = mp.digamma(X + 0.5) - mp.digamma(X)
+                mt = mp.psi(1, X) - mp.psi(1, X + 0.5)
+                assert abs(lv - ml) <= 4e-16 * max(1.0, abs(ml))
+                assert abs(dv / md - 1) <= 8e-16
+                assert abs(tv / mt - 1) <= 8e-16
+
+    def test_float_equals_array_element(self):
+        L, D, T = half_shift_gamma(self.GRID)
+        for i, x in enumerate(self.GRID.tolist()):
+            got = half_shift_gamma(x)
+            assert all(type(v) is float for v in got)
+            assert got == (L[i], D[i], T[i])
+
+    def test_leading_terms(self):
+        x = 1e6
+        L, D, T = half_shift_gamma(x)
+        assert L == pytest.approx(0.5 * math.log(x) - 1 / (8 * x), rel=1e-15)
+        assert D == pytest.approx(1 / (2 * x) + 1 / (8 * x * x), rel=1e-15)
+        assert T == pytest.approx(1 / (2 * x * x) + 1 / (4 * x**3), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 2.0**-512, math.inf,
+                                     math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            half_shift_gamma(bad)
+        with pytest.raises(DomainError):
+            half_shift_gamma(np.array([1.0, bad]))
+
+    def test_array_must_be_one_dimensional(self):
+        with pytest.raises(DomainError):
+            half_shift_gamma(np.ones((2, 2)))
+
+    def test_extremes_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L, D, T = half_shift_gamma(np.array([2.0**-511, 1e300]))
+        assert np.all(np.isfinite(L)) and np.all(np.isfinite(D))
+        assert T[0] == pytest.approx(2.0**1022, rel=1e-15)
+        assert L[1] == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
+
+    def test_argument_not_modified(self):
+        x = np.array([0.3, 5.0, 40.0])
+        half_shift_gamma(x)
+        assert x.tolist() == [0.3, 5.0, 40.0]
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(1.5, 0) == 1.0
@@ -223,6 +284,40 @@ class TestHypPfqAtUnit:
         # first one and returned 3951.8 for a = 600).
         res = hyp_pfq_at_1([a, 1.0], [a + 1.5], tol=1.0)
         assert abs(res.value - (2.0 * a + 1.0)) <= 1.0
+
+
+class TestBlockSchedule:
+    """Blocks of 128, 128, 256, ... terms; before the 512 boundary a row
+    stops on its tail only below half an ulp of its sum, and the ladder
+    certifies from 256 on, there only a change of at most tol / 32."""
+
+    @pytest.mark.parametrize("b2", [102.0, 1002.0])
+    def test_tail_stop_at_the_first_block_cannot_change_the_sum(self, b2):
+        # the direct KMB series at beta = 100 and 1000: its terms fall
+        # below half an ulp of the sum within 128
+        res = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, b2], tol=1e-13)
+        assert res.terms_used == 128
+        with mp.workdps(40):
+            want, c, k = mp.mpf(0), mp.mpf(1), 0
+            while c > mp.mpf(10)**-45:
+                want += c / (2 * k + 1)
+                c *= (k + 2) / (b2 + k)
+                k += 1
+        assert abs(res.value - want) <= math.ulp(res.value)
+
+    def test_ladder_first_certifies_at_256(self):
+        # excess 1: its tail is never below tol / 4 early, so only the
+        # ladder stops it, and not before its points reach K = 4
+        for tol in (1e-3, 1e-8):
+            res = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 3.0], tol=tol)
+            assert res.terms_used == 256
+            assert abs(res.value - 1.590862907413260412556) <= tol
+
+    def test_early_certificate_is_stricter(self, monkeypatch):
+        rows = ([0.5, 1.0, 2.0], [1.5, 3.0], 5e-10)
+        assert hyp_pfq_at_1(*rows).terms_used == 512
+        monkeypatch.setattr(specfun, "_EARLY_CHANGE", 0.5)
+        assert hyp_pfq_at_1(*rows).terms_used == 256
 
 
 class TestSeriesResult:

@@ -96,25 +96,35 @@ class TestSeriesWorkArrays:
         assert all(buf is buffers[0] for buf in buffers)
 
 
+def _kmb_row_terms(monkeypatch, betas):
+    terms = []
+    sum_rows = specfun._sum_rows
+
+    def recording(*args):
+        out = sum_rows(*args)
+        terms.extend(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(specfun, "_sum_rows", recording)
+    models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+    assert len(terms) == len(betas)
+    return terms
+
+
 class TestSeriesTermCounts:
-    """The known-exponent ladder certifies the KMB 3F2 rows in their first
-    block; a rule that estimates the decay exponent instead runs most of
+    """The known-exponent ladder certifies the KMB 3F2 rows within 512
+    terms; a rule that estimates the decay exponent instead runs most of
     them to 4,096 terms, and the excess-0.3 row to 32,768."""
 
     def test_kmb_grid_rows_stop_at_the_first_block(self, monkeypatch):
-        terms = []
-        sum_rows = specfun._sum_rows
-
-        def recording(*args):
-            out = sum_rows(*args)
-            terms.extend(out[2].tolist())
-            return out
-
-        monkeypatch.setattr(specfun, "_sum_rows", recording)
-        models.mean_polarization(GibbsPoint(ModelKind.KMB,
-                                            np.logspace(-1, 1, 200)))
-        assert len(terms) == 200
+        terms = _kmb_row_terms(monkeypatch, np.logspace(-1, 1, 200))
         assert max(terms) <= 512
+
+    def test_kmb_large_beta_rows_stop_within_256(self, monkeypatch):
+        # from beta = 10 the direct series falls below half an ulp of its
+        # sum within 128 or 256 terms
+        terms = _kmb_row_terms(monkeypatch, np.logspace(1, 3, 200))
+        assert max(terms) <= 256
 
     def test_slow_excess_row(self):
         res = specfun.hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.3], tol=1e-10)
