@@ -11,7 +11,6 @@ import argparse
 import functools
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,6 +19,7 @@ from . import duality, figures, magnetics, spectra, verify
 from .errors import BracketingError, ConvergenceError, DomainError
 from .models import (POWER_LAW_MODELS, GibbsPoint, ModelKind, mean_energy,
                      mean_polarization, partition, var_energy)
+from .specfun import require_positive
 
 __all__ = ["main", "build_parser"]
 
@@ -94,8 +94,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _require_positive(value: float, flag: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise _UsageError(f"{flag} must be finite and > 0, got {value!r}")
+    try:
+        require_positive(value, flag)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_sweep(args) -> int:

@@ -19,7 +19,7 @@ from . import quadrature
 from .errors import DomainError
 from .models import (GibbsPoint, ModelKind, mean_energy, omega_complex,
                      partition, var_energy)
-from .specfun import per_element
+from .specfun import per_element, require_positive
 
 __all__ = [
     "DualExperimentReport",
@@ -46,8 +46,7 @@ class DualExperimentReport:
 def _check_dual_args(model: ModelKind, meanE: float):
     if model not in (ModelKind.COMPLEX, ModelKind.QUATERNIONIC):
         raise DomainError(f"dual density is defined for complex/quaternionic, got {model}")
-    if not math.isfinite(meanE) or meanE <= 0:
-        raise DomainError("meanE must be positive")
+    require_positive(meanE, "dual density meanE")
 
 
 def dual_density(model: ModelKind, meanE: float, beta):
@@ -55,18 +54,12 @@ def dual_density(model: ModelKind, meanE: float, beta):
     c = 2 half_dof: 3 for the complex family, 5 for the quaternionic.
 
     beta is a float or a 1-D float ndarray whose every element is finite
-    and > 0 (else DomainError); an array returns one value per element,
-    each equal to the float result bit for bit (the array paths of
-    ``models`` and ``math.exp`` per element).  The accuracy is that of
-    ``partition`` and ``var_energy``, a few ulps relative.
+    and > 0 (else DomainError from ``models``); an array returns one value
+    per element, each equal to the float result bit for bit (the array
+    paths of ``models`` and ``math.exp`` per element).  The accuracy is
+    that of ``partition`` and ``var_energy``, a few ulps relative.
     """
     _check_dual_args(model, meanE)
-    if isinstance(beta, np.ndarray):
-        ok = beta.ndim == 1 and bool(np.all((beta > 0) & (beta < math.inf)))
-    else:
-        ok = math.isfinite(beta) and beta > 0
-    if not ok:
-        raise DomainError("beta must be positive")
     c = 2.0 * model.half_dof
     point = GibbsPoint(model, beta)
     ref = GibbsPoint(model, c / (2.0 * meanE))
@@ -96,8 +89,7 @@ def run_duality_experiment(model: ModelKind, meanE: float,
 def mean_beta_closed(meanE: float) -> float:
     """Closed-form <beta> ~ (3/(2<E>^2)) <E>_s, with <E>_s the complex
     family's mean energy at s = 3/(2<E>)."""
-    if not math.isfinite(meanE) or meanE <= 0:
-        raise DomainError("meanE must be positive")
+    require_positive(meanE, "mean_beta_closed meanE")
     s = GibbsPoint(ModelKind.COMPLEX, 1.5 / meanE)
     return (1.5 / meanE**2) * mean_energy(s)
 
@@ -106,8 +98,7 @@ def var_beta_closed(meanE: float) -> float:
     """Closed-form var(beta) = (3/(4<E>^4)) (4<E> <E>_s - 3 var_s), with the
     complex family's mean and variance of the energy at s = 3/(2<E>);
     positive, and var(beta) <E>^2 -> 3/2 as <E> -> 0."""
-    if not math.isfinite(meanE) or meanE <= 0:
-        raise DomainError("meanE must be positive")
+    require_positive(meanE, "var_beta_closed meanE")
     s = GibbsPoint(ModelKind.COMPLEX, 1.5 / meanE)
     return (3.0 / (4.0 * meanE**4)) * (4.0 * meanE * mean_energy(s)
                                        - 3.0 * var_energy(s))
@@ -116,8 +107,7 @@ def var_beta_closed(meanE: float) -> float:
 def prior_over_meanE(meanE: float) -> tuple[float, float]:
     """The two candidate priors over <E>: sqrt(var beta) and
     Omega(<E>) / Z(3/(2<E>)) for the complex family."""
-    if not math.isfinite(meanE) or meanE <= 0:
-        raise DomainError("meanE must be positive")
+    require_positive(meanE, "prior_over_meanE meanE")
     om = float(omega_complex(meanE))
     z = partition(GibbsPoint(ModelKind.COMPLEX, 1.5 / meanE))
     return (math.sqrt(var_beta_closed(meanE)), om / z)

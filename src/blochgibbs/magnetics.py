@@ -16,7 +16,7 @@ from . import rootfind
 from .errors import DomainError
 from .models import (GibbsPoint, ModelKind, integrated_density,
                      mean_polarization)
-from .specfun import per_element
+from .specfun import per_element, require_positive
 
 __all__ = [
     "IntersectionReport",
@@ -72,8 +72,7 @@ def langevin_partition(beta: float) -> float:
 
 def brosseau_polarization(tau: float) -> float:
     """tanh(1/tau): polarization against effective temperature tau > 0."""
-    if not math.isfinite(tau) or tau <= 0:
-        raise DomainError("tau must be positive")
+    require_positive(tau, "brosseau_polarization tau")
     return math.tanh(1.0 / tau)
 
 
@@ -130,12 +129,11 @@ def reduced_temperature(beta: float | np.ndarray) -> float | np.ndarray:
     return per_element(math.atanh, pol)
 
 
-def loglinear_fit(beta_lo: float = 1e3, beta_hi: float = 1e5,
-                  points: int = 60) -> tuple[float, float]:
+def loglinear_fit() -> tuple[float, float]:
     """Least-squares (slope, intercept) of ln(reduced_temperature) against
-    ln(beta) over a log-spaced grid; the tail law is
+    ln(beta) over 60 log-spaced beta on [1e3, 1e5]; the tail law is
     ln x = ln 2 - (1/2) ln pi - (1/2) ln beta."""
-    betas = np.logspace(math.log10(beta_lo), math.log10(beta_hi), points)
+    betas = np.logspace(3.0, 5.0, 60)
     y = per_element(math.log, reduced_temperature(betas))
     design = np.vstack([np.log(betas), np.ones_like(betas)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -144,16 +142,14 @@ def loglinear_fit(beta_lo: float = 1e3, beta_hi: float = 1e5,
 
 def critical_beta(lambda_mf: float) -> float:
     """Mean-field critical temperature lambda/(4 (2 ln 2 - 1))."""
-    if not math.isfinite(lambda_mf) or lambda_mf <= 0:
-        raise DomainError("lambda_mf must be positive")
+    require_positive(lambda_mf, "critical_beta lambda_mf")
     return lambda_mf / (4.0 * (2.0 * _LN2 - 1.0))
 
 
 def order_parameter(beta: float, lambda_mf: float) -> tuple[float, float]:
     """The +- pair 2<r> - 1 = +-(1 - beta_c/beta)^(1/2), zero at or below
     the critical point."""
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
+    require_positive(beta, "order_parameter beta")
     bc = critical_beta(lambda_mf)
     if beta <= bc:
         return (0.0, 0.0)

@@ -27,8 +27,8 @@ Every other function here takes a float beta; ``integrated_density``
 also takes an array of E0.
 
 ``ModelKind`` is the one family table: each member records m and its
-CLI names, and every other module reads a family's facts from it and
-its formulas from the functions here.
+CLI names, and every other module, priors included, reads a family's
+facts from it and its formulas from the functions here.
 """
 
 from __future__ import annotations
@@ -241,10 +241,8 @@ def pdf(point: GibbsPoint, E):
     _require_positive_beta(point)
     E_arr = np.asarray(E, dtype=float)
     scalar = E_arr.ndim == 0
-    if np.any(E_arr < 0) or not np.all(np.isfinite(E_arr)):
-        raise DomainError("pdf requires finite E >= 0")
     z = partition(point)
-    om = structure_function(point.model, E_arr)
+    om = structure_function(point.model, E_arr)  # DomainError unless E >= 0
     out = np.exp(-point.beta * E_arr) * om / z
     return _as_float_or_array(out, scalar)
 
@@ -368,19 +366,16 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
 
     Power-law families use the closed gamma-ratio form
     Gamma(1+m/2) Gamma(1/2+beta+m/2) / (Gamma(1+beta+m/2) Gamma((1+m)/2)).
-    KMB (``_kmb_polarization``): from beta = 2.65 up, 2 beta / sqrt(pi)
-    Gamma(1/2+beta) / Gamma(2+beta) times 3F2({1/2,1,2};{3/2,2+beta};1);
-    below it the mapped series 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1)
-    itself; both summed to 1e-13.  Against 40-digit mpmath: below 2.65
-    within 4e-15 relative (median 3e-17), and the exact 1.0 from
-    beta ~ 3e-9 down to 5e-324; from 2.65 up within 1e-14 + 1e-15
+    KMB sums a 3F2 series to 1e-13 (``_kmb_polarization``; a float beta
+    runs it on one array element).  Against 40-digit mpmath: below
+    beta = 2.65 within 4e-15 relative (median 3e-17), and the exact 1.0
+    from beta ~ 3e-9 down to 5e-324; from 2.65 up within 1e-14 + 1e-15
     |ln Gamma(2+beta)| relative, the rounding of the log_gamma difference
     (6.6e-12 at beta = 1e4, 1.1e-5 at 1e10); above beta = 1e11
-    DomainError.  A float KMB beta runs the array code on one element.
-    Float or array beta >= 0.  The result never exceeds 1: below beta of
-    about 1e-8 rounding can push the power-law formulas a few ulps above
-    1 while the true value is within an ulp of 1, and 1 is returned
-    instead.
+    DomainError.  Float or array beta >= 0.  The result never exceeds 1:
+    below beta of about 1e-8 rounding can push the power-law formulas a
+    few ulps above 1 while the true value is within an ulp of 1, and 1 is
+    returned instead.
     """
     beta = point.beta
     if isinstance(beta, np.ndarray):
@@ -394,12 +389,14 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
     return min(_polarization(point.model, beta), 1.0)
 
 
-def mean_energy_series(beta: float, tol: float = 1e-8) -> specfun.SeriesResult:
+def mean_energy_series(beta: float) -> specfun.SeriesResult:
     """<E> for the complex family from its Pochhammer series
-    sum_{n>=1} (3/2)_n / (n (3/2+beta)_n), accelerated like the 3F2 above.
+    sum_{n>=1} (3/2)_n / (n (3/2+beta)_n), accelerated like the 3F2 above
+    and summed to the absolute tolerance 1e-9; finite beta > 0, else
+    DomainError.
     """
-    if beta <= 0:
-        raise DomainError("mean_energy_series requires beta > 0")
+    specfun.require_positive(beta, "mean_energy_series beta")
+    tol = 1e-9
     front = 1.5 / (1.5 + beta)
     if beta >= 3.0:
         res = specfun.hyp_pfq_at_1([1.0, 1.0, 2.5], [2.0, 2.5 + beta], tol / front)
@@ -549,32 +546,43 @@ def _kmb_density_dilog(E0: np.ndarray, r2: np.ndarray) -> np.ndarray:
 def modal_beta_estimate(model: ModelKind, E: float) -> float:
     """Mode-matching estimate of beta from one energy: d/dE ln Omega(E).
 
-    (m-1)/(2 (e^E - 1)) for the power-law families (identically 0 in the
-    real case); the KMB analogue of the same derivative is
-    1 / (2 r artanh r) with r = sqrt(1 - e^-E).
+    (m-1) e^-E / (2 (1 - e^-E)) for the power-law families (identically 0
+    in the real case); the KMB analogue of the same derivative is
+    1 / (2 r artanh r) with r = sqrt(1 - e^-E).  Domain: finite
+    E >= 2**-511, else DomainError.  Against mpmath within 1e-15 relative
+    where the value is a normal double, else (power laws above E ~ 708)
+    within 1e-323 absolute.
     """
-    if not math.isfinite(E) or E <= 0:
-        raise DomainError("modal_beta_estimate requires E > 0")
+    specfun.require_positive(E, "modal_beta_estimate E")
+    specfun.require_square_floor(E, "modal_beta_estimate", "E")
     if model is ModelKind.KMB:
         r = float(omega_complex(E))
         return 1.0 / (2.0 * r * float(atanh_omega(E)))
     if model is ModelKind.REAL:
         return 0.0
-    return (model.m - 1) / (2.0 * math.expm1(E))
+    return 0.5 * (model.m - 1) * math.exp(-E) / -math.expm1(-E)
 
 
 def modal_curvature(model: ModelKind, E: float) -> float:
-    """-d^2/dE^2 ln Omega(E), the curvature companion of the modal estimate."""
-    if not math.isfinite(E) or E <= 0:
-        raise DomainError("modal_curvature requires E > 0")
+    """-d^2/dE^2 ln Omega(E), the curvature companion of the modal estimate:
+    (m-1) e^-E / (2 (1 - e^-E)^2) for the power laws (0 for real), and
+    (e^-E a / (2 r) + 1/2) / (2 (r a)^2), a = artanh r, for KMB.  Domain:
+    finite E >= 2**-511, else DomainError (near 0 the value grows like
+    1/E^2).  Against mpmath within 1e-15 relative where the value is a
+    normal double, else (power laws above E ~ 708, KMB above ~ 6.7e153)
+    within 1e-323 absolute.
+    """
+    specfun.require_positive(E, "modal_curvature E")
+    specfun.require_square_floor(E, "modal_curvature", "E")
     if model is ModelKind.KMB:
         r = float(omega_complex(E))
         a = float(atanh_omega(E))
-        return (math.exp(-E) * a / (2.0 * r) + 0.5) / (2.0 * (r * a) ** 2)
+        ra = r * a  # divided by twice, not squared: no underflow or overflow
+        return (math.exp(-E) * a / (2.0 * r) + 0.5) / ra / (2.0 * ra)
     if model is ModelKind.REAL:
         return 0.0
-    em1 = math.expm1(E)
-    return ((model.m - 1) / 2.0) / (em1 * (-math.expm1(-E)))
+    em1 = math.expm1(-E)
+    return 0.5 * (model.m - 1) * math.exp(-E) / (em1 * em1)
 
 
 def approx_beta_small(meanE: float) -> float:
@@ -586,8 +594,7 @@ def approx_beta_small(meanE: float) -> float:
 
 def approx_beta_large(meanE: float) -> float:
     """Large-beta closed form beta ~ 3/(2 <E>), complex family."""
-    if not math.isfinite(meanE) or meanE <= 0:
-        raise DomainError("approx_beta_large requires meanE > 0")
+    specfun.require_positive(meanE, "approx_beta_large meanE")
     return 1.5 / meanE
 
 
@@ -598,8 +605,7 @@ def mean_energy_asymptotic(beta: float, order: int) -> float:
     """Partial sum of the large-beta expansion of <E>, complex family:
     3/(2 b) - 3/(8 b^2) + 1/(4 b^3) - 9/(64 b^4) + 1/(16 b^5).
     """
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("mean_energy_asymptotic requires beta > 0")
+    specfun.require_positive(beta, "mean_energy_asymptotic beta")
     if not 1 <= order <= 5:
         raise DomainError("order must be in 1..5")
     return sum(c / beta ** (k + 1) for k, c in enumerate(_MEAN_E_ASYMPT[:order]))
@@ -607,8 +613,7 @@ def mean_energy_asymptotic(beta: float, order: int) -> float:
 
 def polarization_asymptotic(beta: float) -> float:
     """Four-term large-beta expansion of <r>, complex family."""
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("polarization_asymptotic requires beta > 0")
+    specfun.require_positive(beta, "polarization_asymptotic beta")
     rb = math.sqrt(beta)
     return (2.0 / rb - 1.25 / rb**3 + (73.0 / 64.0) / rb**5
             - (575.0 / 512.0) / rb**7) / _SQRT_PI
@@ -622,8 +627,7 @@ def reflection_identity_residual(beta: float) -> float:
     sign tracking.  Points within 1e-3 of a half-integer or integer are
     rejected (poles of either side).
     """
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("reflection_identity_residual requires beta > 0")
+    specfun.require_positive(beta, "reflection_identity_residual beta")
     if abs(2.0 * beta - round(2.0 * beta)) < 2e-3:
         raise PoleProximityError(
             f"beta = {beta!r} is within 1e-3 of a pole (half-integer grid)")

@@ -14,7 +14,6 @@ an array, checked element by element; a float in gives a float out.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -22,11 +21,11 @@ import numpy as np
 
 from .errors import DomainError
 from .models import GibbsPoint, ModelKind, atanh_omega, omega_complex, pdf
-from .specfun import log_gamma
+from .specfun import log_gamma, require_positive
 
 __all__ = [
-    "PriorTag",
     "PriorKind",
+    "angle_count",
     "prior_density",
     "radial_density",
     "transform_to_gibbs",
@@ -35,40 +34,24 @@ __all__ = [
 ]
 
 
-class PriorTag(enum.Enum):
-    """The five prior families, one record each: the tag and the Gibbs
-    family it maps onto.  The state space follows from the family's m."""
-
-    COMPLEX_Q = "complex_q", ModelKind.COMPLEX
-    QUAT_Q = "quat_q", ModelKind.QUATERNIONIC
-    REAL_Q = "real_q", ModelKind.REAL
-    CLASS_Q = "class_q", ModelKind.CLASSICAL
-    KMB_Q = "kmb_q", ModelKind.KMB
-
-    def __new__(cls, tag: str, model: ModelKind):
-        member = object.__new__(cls)
-        member._value_ = tag
-        member.model = model
-        return member
-
-    @property
-    def angle_count(self) -> int:
-        """Angles beyond the radius: m of the family (theta, phi on the
-        ball; theta1..theta3, phi on the 5-ball; phi on the disk; none on
-        the interval), and 2 for KMB, which shares the complex ball."""
-        return ModelKind.COMPLEX.m if self.model.m is None else self.model.m
+def angle_count(model: ModelKind) -> int:
+    """Angles beyond the radius on a family's state space: m (theta, phi
+    on the ball; theta1..theta3, phi on the 5-ball; phi on the disk; none
+    on the interval), and 2 for KMB, which shares the complex ball."""
+    return ModelKind.COMPLEX.m if model.m is None else model.m
 
 
 @dataclass(frozen=True)
 class PriorKind:
-    """A prior family member: which state space, and the exponent u < 1."""
+    """A prior family member: the Gibbs family whose state space it lives
+    on, and the exponent u < 1."""
 
-    tag: PriorTag
+    model: ModelKind
     u: float
 
     def __post_init__(self):
-        if not isinstance(self.tag, PriorTag):
-            raise DomainError(f"tag must be a PriorTag, got {self.tag!r}")
+        if not isinstance(self.model, ModelKind):
+            raise DomainError(f"model must be a ModelKind, got {self.model!r}")
         if not math.isfinite(self.u) or self.u >= 1.0:
             raise DomainError(
                 f"u must be < 1 (normalizable range), got {self.u!r}")
@@ -87,11 +70,11 @@ def _checked(x, ok, what: str) -> np.ndarray:
     return arr
 
 
-def _check_angles(tag: PriorTag, angles: tuple[float, ...]):
-    if len(angles) != tag.angle_count:
-        raise DomainError(
-            f"{tag.value} expects {tag.angle_count} angular coordinates, "
-            f"got {len(angles)}")
+def _check_angles(model: ModelKind, angles: tuple[float, ...]):
+    count = angle_count(model)
+    if len(angles) != count:
+        raise DomainError(f"the {model.value} prior expects {count} angular "
+                          f"coordinates, got {len(angles)}")
     if not angles:
         return
     *thetas, phi = angles
@@ -128,7 +111,7 @@ def _marginal(kind: PriorKind, r: np.ndarray, weight, two_atanh):
     """The radial marginal at r, given weight = (1 - r^2)^-u and a function
     returning 2 artanh r (called for KMB only), so that callers holding E
     can supply both without forming 1 - r^2."""
-    model = kind.tag.model
+    model = kind.model
     if model is ModelKind.KMB:  # beta r 2 artanh(r) x the classical marginal
         model = ModelKind.CLASSICAL
         factor = kind.beta * r * two_atanh()
@@ -148,7 +131,7 @@ def prior_density(kind: PriorKind, r, *angles: float):
     array, as in ``radial_density``; the angles are floats.
     """
     out = radial_density(kind, r)
-    _check_angles(kind.tag, angles)
+    _check_angles(kind.model, angles)
     k = len(angles)
     if k == 0:
         return out
@@ -164,14 +147,13 @@ def transform_to_gibbs(kind: PriorKind, E, beta: float):
     >= 0; at E = 0 the value is the r -> 0 limit: inf (classical), beta
     (real), 0 otherwise."""
     E = _checked(E, lambda a: (a >= 0.0) & (a < math.inf), "E must be >= 0")
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
+    require_positive(beta, "transform_to_gibbs beta")
     if abs(kind.beta - beta) > 1e-12:
         raise DomainError(
             f"inconsistent pair: kind.u = {kind.u} implies beta = {kind.beta}, "
             f"got beta = {beta}")
-    limit = {PriorTag.CLASS_Q: math.inf,
-             PriorTag.REAL_Q: beta}.get(kind.tag, 0.0)
+    limit = {ModelKind.CLASSICAL: math.inf,
+             ModelKind.REAL: beta}.get(kind.model, 0.0)
     r = omega_complex(E)
     # (1 - r^2)^-u e^-E = e^((u-1) E) and artanh r = atanh_omega(E), both
     # exact in E: 1 - r^2 rebuilt from r loses all digits as r -> 1
@@ -185,8 +167,7 @@ def transform_to_gibbs(kind: PriorKind, E, beta: float):
 def bloch_cartesian_density(u: float, x: float, y: float, z: float) -> float:
     """The complex-family prior in Cartesian ball coordinates (no Jacobian):
     Gamma(5/2-u) / (pi^(3/2) Gamma(1-u) (1-x^2-y^2-z^2)^u)."""
-    if u >= 1.0:
-        raise DomainError("u must be < 1")
+    PriorKind(model=ModelKind.COMPLEX, u=u)  # DomainError unless u < 1
     rsq = x * x + y * y + z * z
     if rsq >= 1.0:
         raise DomainError("(x, y, z) must lie inside the unit ball")
@@ -197,8 +178,7 @@ def dirichlet_density(u: float, X: float, Y: float, Z: float) -> float:
     """The same family as a Dirichlet law on the simplex, after
     (X, Y, Z) = (x^2, y^2, z^2):
     Gamma(5/2-u) / (pi^(3/2) Gamma(1-u) sqrt(XYZ) (1-X-Y-Z)^u)."""
-    if u >= 1.0:
-        raise DomainError("u must be < 1")
+    PriorKind(model=ModelKind.COMPLEX, u=u)  # DomainError unless u < 1
     if min(X, Y, Z) <= 0.0 or X + Y + Z >= 1.0:
         raise DomainError("(X, Y, Z) must be an interior simplex point")
     return (_ball_normaliser(ModelKind.COMPLEX, u)
@@ -207,8 +187,7 @@ def dirichlet_density(u: float, X: float, Y: float, Z: float) -> float:
 
 def prior_for_model(model: ModelKind, beta: float) -> PriorKind:
     """The PriorKind matching a Gibbs family at the given beta (u = 1-beta)."""
-    tag = next(t for t in PriorTag if t.model is model)
-    return PriorKind(tag=tag, u=1.0 - beta)
+    return PriorKind(model=model, u=1.0 - beta)
 
 
 def gibbs_pdf_reference(model: ModelKind, beta: float, E: float) -> float:

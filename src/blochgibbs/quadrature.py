@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
+from .specfun import require_positive
 
 __all__ = ["QuadratureResult", "integrate_interval", "integrate_semiinfinite",
            "panel_integrals"]
@@ -140,8 +141,7 @@ def integrate_interval(f, a: float, b: float, tol: float) -> QuadratureResult:
     or an f value is not finite."""
     if not (math.isfinite(a) and math.isfinite(b)) or b < a:
         raise DomainError(f"bad interval [{a}, {b}]")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    require_positive(tol, "integrate_interval tol")
     if a == b:
         return QuadratureResult(0.0, 0.0, 15)
     _, k, err, evals = _adapt(f, np.array([a, b], dtype=float), tol)
@@ -165,8 +165,7 @@ def integrate_semiinfinite(f, tol: float) -> QuadratureResult:
     family at beta = 1e6 returns 2.8e-12 against the true 5.0e-7, and a
     mass spread past E = 4.2e4 (beta <= 1e-3) raises.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    require_positive(tol, "integrate_semiinfinite tol")
 
     def g(t):
         return 2.0 * t * np.asarray(f(t * t), dtype=float)

@@ -11,9 +11,11 @@ from .errors import BracketingError, ConvergenceError
 __all__ = ["brent", "scan_bracket", "newton2d"]
 
 _EPS = 2.220446049250313e-16
+_MAX_ITER = 200  # either solver's iteration budget
+_NEWTON_TOL = 1e-11  # newton2d stops once max |F| is below this
 
 
-def brent(f, a: float, b: float, xtol: float = 1e-13, maxiter: int = 200) -> float:
+def brent(f, a: float, b: float, xtol: float = 1e-13) -> float:
     """Brent's method on a sign-change interval [a, b]."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -24,7 +26,7 @@ def brent(f, a: float, b: float, xtol: float = 1e-13, maxiter: int = 200) -> flo
         raise BracketingError(f"f({a}) = {fa} and f({b}) = {fb} do not bracket a root")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -61,7 +63,7 @@ def brent(f, a: float, b: float, xtol: float = 1e-13, maxiter: int = 200) -> flo
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
-    raise ConvergenceError(f"brent did not converge in {maxiter} iterations",
+    raise ConvergenceError(f"brent did not converge in {_MAX_ITER} iterations",
                            best_estimate=b)
 
 
@@ -87,12 +89,12 @@ def scan_bracket(f, lo: float, hi: float, points: int = 400):
     return float(grid[i]), float(grid[i + 1])
 
 
-def newton2d(F, x0, tol: float = 1e-12, maxiter: int = 200):
+def newton2d(F, x0):
     """Damped Newton iteration for a 2-D system with numeric Jacobian."""
     x = np.asarray(x0, dtype=float)
-    for _ in range(maxiter):
+    for _ in range(_MAX_ITER):
         fx = np.asarray(F(x), dtype=float)
-        if np.max(np.abs(fx)) < tol:
+        if np.max(np.abs(fx)) < _NEWTON_TOL:
             return x
         J = np.empty((2, 2))
         for j in range(2):
@@ -112,5 +114,5 @@ def newton2d(F, x0, tol: float = 1e-12, maxiter: int = 200):
                 break
             lam *= 0.5
         x = x + lam * step
-    raise ConvergenceError(f"newton2d did not converge in {maxiter} iterations",
+    raise ConvergenceError(f"newton2d did not converge in {_MAX_ITER} iterations",
                            best_estimate=tuple(x))

@@ -2,7 +2,9 @@
 
 log_gamma uses upward recurrence into a Stirling series with Bernoulli
 coefficients; digamma and trigamma use the same recurrence-shift strategy
-(threshold 6) into their Bernoulli asymptotic tails.  The unit-argument
+(threshold 6) into their Bernoulli asymptotic tails.  These and the 1/x
+expansions of half_shift_gamma take their coefficients from one table,
+``_BERNOULLI`` (B_2, ..., B_20 as exact integer pairs).  The unit-argument
 generalized hypergeometric summator works in vectorized blocks.  At unit
 argument the term ratio tends to 1 and the tail decays only
 algebraically, like K^-s with the excess s = sum(b) - sum(a) known before
@@ -29,6 +31,7 @@ time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,7 @@ __all__ = [
     "digamma",
     "trigamma",
     "half_shift_gamma",
+    "require_positive",
     "require_square_floor",
     "pochhammer",
     "hyp_pfq_at_1",
@@ -49,53 +53,27 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
+_REALS = (float, int, np.floating, np.integer)
 
-# B_{2n} / (2n (2n-1)), n = 1..8: Stirling-series coefficients for ln Gamma.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-# B_{2n} / (2n), n = 1..8: asymptotic tail of psi.
-_PSI_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-
-# B_{2n}, n = 1..8: asymptotic tail of psi'.
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+# (k, p, q) with B_k = p / q, k = 2, 4, ..., 20: every coefficient below is
+# one correctly rounded division of Python integers
+_BERNOULLI = ((2, 1, 6), (4, -1, 30), (6, 1, 42), (8, -1, 30), (10, 5, 66),
+              (12, -691, 2730), (14, 7, 6), (16, -3617, 510),
+              (18, 43867, 798), (20, -174611, 330))
+# B_k / (k (k-1)), B_k / k and B_k, k = 2..16: the Stirling series of
+# ln Gamma and the asymptotic tails of psi and psi'
+_STIRLING = tuple(p / (q * k * (k - 1)) for k, p, q in _BERNOULLI[:8])
+_PSI_TAIL = tuple(p / (q * k) for k, p, q in _BERNOULLI[:8])
+_TRIGAMMA_TAIL = tuple(p / q for k, p, q in _BERNOULLI[:8])
 
 _SHIFT_GAMMA = 10.0
 _SHIFT_PSI = 6.0
 
-# B_k(1/2) - B_k(0) = (2^(1-k) - 2) B_k, k = 2, 4, ..., 20, from B_k as
-# numerator / denominator: the 1/x expansions of the half-shift primitive
-_HALF_SHIFT_B = np.array([
-    (2.0 ** (1 - k) - 2.0) * p / q for k, (p, q) in zip(range(2, 22, 2), (
-        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-        (-3617, 510), (43867, 798), (-174611, 330)))])
-_HALF_SHIFT_K = np.arange(2.0, 22.0, 2.0)
+# B_k(1/2) - B_k(0) = (2^(1-k) - 2) B_k, k = 2, 4, ..., 20: the 1/x
+# expansions of the half-shift primitive
+_HALF_SHIFT_B = np.array([(1 - 2**k) * p / (2 ** (k - 1) * q)
+                          for k, p, q in _BERNOULLI])
+_HALF_SHIFT_K = np.array([k for k, _, _ in _BERNOULLI], dtype=float)
 # row i: the coefficients of w^i (w = 1/x^2, k = 2i + 2) in (L - ln(x)/2) x,
 # (D - 1/(2x)) / w and (T - w/2) x / w, as a column for broadcasting
 _HALF_SHIFT_COEFFS = np.column_stack((
@@ -155,9 +133,12 @@ class SeriesResult:
             raise ValueError("tail_bound must be >= 0")
 
 
-def _require_positive(x, name):
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
-        raise DomainError(f"{name} requires a finite positive argument, got {x!r}")
+def require_positive(x, what: str) -> None:
+    """DomainError unless x is a Python or numpy int or float in (0, max
+    double], so NaN, inf, arrays and ints beyond the doubles fail too; the
+    message names ``what``, the function and argument being checked."""
+    if not (isinstance(x, _REALS) and 0 < x <= sys.float_info.max):
+        raise DomainError(f"{what} must be finite and > 0, got {x!r}")
 
 
 def per_element(fn, x):
@@ -213,7 +194,7 @@ def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
         x, shift, z = _shift_up(x, "log_gamma", _SHIFT_GAMMA,
                                 lambda v: -per_element(math.log, v))
     else:
-        _require_positive(x, "log_gamma")
+        require_positive(x, "log_gamma x")
         shift = 0.0
         while x < _SHIFT_GAMMA:
             shift -= math.log(x)
@@ -253,7 +234,7 @@ def digamma(x: float | np.ndarray) -> float | np.ndarray:
     if isinstance(x, np.ndarray):
         x, acc, z = _shift_up(x, "digamma", _SHIFT_PSI, lambda v: -1.0 / v)
     else:
-        _require_positive(x, "digamma")
+        require_positive(x, "digamma x")
         acc = 0.0
         while x < _SHIFT_PSI:
             acc -= 1.0 / x
@@ -290,7 +271,7 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
         require_square_floor(x, "trigamma")
         x, acc, z = _shift_up(x, "trigamma", _SHIFT_PSI, lambda v: 1.0 / (v * v))
     else:
-        _require_positive(x, "trigamma")
+        require_positive(x, "trigamma x")
         require_square_floor(x, "trigamma")
         acc = 0.0
         while x < _SHIFT_PSI:
@@ -298,7 +279,7 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
             x += 1.0
         z = 1.0 / (x * x)
     tail = 0.0
-    for c in reversed(_BERNOULLI):
+    for c in reversed(_TRIGAMMA_TAIL):
         tail = tail * z + c
     return acc + 1.0 / x + 0.5 * z + tail * z / x
 
@@ -330,7 +311,7 @@ def half_shift_gamma(x):
     (2-core x86-64 VM).
     """
     if not isinstance(x, np.ndarray):
-        _require_positive(x, "half_shift_gamma")
+        require_positive(x, "half_shift_gamma x")
         L, D, T = half_shift_gamma(np.array([x], dtype=float))
         return float(L[0]), float(D[0]), float(T[0])
     x = np.array(x, dtype=float)

@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DomainError, QuadratureError
 from .models import (GibbsPoint, ModelKind, atanh_omega, mean_energy,
                      omega_complex, pdf, var_energy)
 from .oracles import DensityMatrix2
-from .specfun import log_gamma
+from .specfun import log_gamma, require_positive
 
 __all__ = [
     "SpectrumEntry",
@@ -112,8 +112,7 @@ def spectrum(n: int, beta: float) -> SpectrumTable:
         raise DomainError(
             f"spectrum is limited to n <= {_MAX_SPECTRUM_N}: beyond it the "
             f"multiplicities m_(n,d) exceed the double range")
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
+    require_positive(beta, "spectrum beta")
     entries = tuple(
         SpectrumEntry(d=d, lam=_lambda_nd(n, d, beta), multiplicity=_multiplicity(n, d))
         for d in range(n // 2 + 1)
@@ -217,8 +216,7 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     """
     if not (1 <= n <= _MAX_TENSOR_N and n == int(n)):
         raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
+    require_positive(beta, "zeta_matrix_oracle beta")
     n = int(n)
     moments = _radial_moments(n, beta, _RADIAL_LEVELS[0])
     for nodes in _RADIAL_LEVELS[1:]:
@@ -274,10 +272,8 @@ def asymptotic_relent(beta: float, E: float, n: int) -> float:
     (3/2) ln n - 1/2 - (3/2) ln 2 + beta E - artanh(Omega)/Omega
     + ln Gamma(beta) - ln Gamma(3/2 + beta).
     """
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
-    if not math.isfinite(E) or E <= 0:
-        raise DomainError("E must be positive")
+    require_positive(beta, "asymptotic_relent beta")
+    require_positive(E, "asymptotic_relent E")
     if n < 1:
         raise DomainError("n must be a positive integer")
     om = float(omega_complex(E))
@@ -299,7 +295,7 @@ def _stationarity_system(v: np.ndarray) -> np.ndarray:
 def solve_stationary_point() -> tuple[float, float]:
     """Joint zero of the two derivative conditions of the truncated
     asymptotics, from the starting point (0.5, 2.5); residuals < 1e-10."""
-    beta, E = rootfind.newton2d(_stationarity_system, (0.5, 2.5), tol=1e-11)
+    beta, E = rootfind.newton2d(_stationarity_system, (0.5, 2.5))
     res = _stationarity_system(np.array([beta, E]))
     if np.max(np.abs(res)) > 1e-10:
         raise ConvergenceError(f"stationary-point residual too large: {res}")

@@ -180,7 +180,7 @@ def _suite_models(seed: int) -> list[Check]:
     worst = 0.0
     used = 0
     for beta in (0.5, 1.0, 5.0):
-        res = models.mean_energy_series(beta, tol=1e-9)
+        res = models.mean_energy_series(beta)
         exact = models.mean_energy(GibbsPoint(ModelKind.COMPLEX, beta))
         worst = max(worst, abs(res.value - exact))
         used = max(used, res.terms_used)
@@ -624,17 +624,17 @@ def _radial_norm(kind: priors.PriorKind) -> float:
 def _suite_priors(seed: int) -> list[Check]:
     checks: list[Check] = []
     worst = 0.0
-    for tag in priors.PriorTag:
+    for model in ModelKind:
         for u in (-1.0, 0.0, 0.5):
-            kind = priors.PriorKind(tag=tag, u=u)
+            kind = priors.PriorKind(model=model, u=u)
             worst = max(worst, abs(_radial_norm(kind) - 1.0))
     checks.append(_close("prior_unit_mass_radial", worst, 0.0, 1e-7))
 
-    kind0 = priors.PriorKind(tag=priors.PriorTag.COMPLEX_Q, u=0.0)
+    kind0 = priors.PriorKind(model=ModelKind.COMPLEX, u=0.0)
     checks.append(_close("complex_prior_example_value",
                          priors.prior_density(kind0, 0.5, math.pi / 2, 1.0),
                          0.1875 / math.pi, 1e-10))
-    kindr = priors.PriorKind(tag=priors.PriorTag.REAL_Q, u=0.0)
+    kindr = priors.PriorKind(model=ModelKind.REAL, u=0.0)
     checks.append(_close("real_prior_example_value",
                          priors.prior_density(kindr, 0.5, 1.0),
                          0.5 / math.pi, 1e-12))
@@ -662,7 +662,7 @@ def _suite_priors(seed: int) -> list[Check]:
     checks.append(_close("dirichlet_jacobian_identity_rel", worst, 0.0, 1e-10))
 
     try:
-        priors.PriorKind(tag=priors.PriorTag.COMPLEX_Q, u=1.2)
+        priors.PriorKind(model=ModelKind.COMPLEX, u=1.2)
         rejected = False
     except Exception:
         rejected = True

@@ -110,7 +110,7 @@ def test_criterion_05b_density_crossings_complex_quaternionic():
 def test_criterion_06_loglinear_law():
     with criterion("criterion 6: log-linear slope -0.5, intercept 0.120782",
                    1.0):
-        slope, intercept = loglinear_fit(1e3, 1e5, 60)
+        slope, intercept = loglinear_fit()
         assert slope == pytest.approx(-0.5, abs=0.002)
         assert intercept == pytest.approx(0.120782, abs=0.002)
 

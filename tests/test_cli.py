@@ -413,3 +413,8 @@ class TestVerifyCommand:
         # the benchmark compares verify's output with these names, in order
         want = (REF / "verify_checks.txt").read_text().split()
         assert [c["check"] for c in report["checks"]] == want
+        # every target, got and tolerance, byte for byte as `verify --format
+        # json` writes them: a change that moves one re-pins this file and
+        # names the move
+        assert json.dumps(report, indent=2) + "\n" == \
+            (TEST_REF / "verify_all.json").read_text()

@@ -1,0 +1,129 @@
+"""Argument domains: the one positive-scalar check and its callers, and
+the modal pair at the corners of its energy domain."""
+
+import math
+import warnings
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from blochgibbs import (cli, duality, magnetics, models, priors, quadrature,
+                        spectra, specfun)
+from blochgibbs.errors import DomainError
+from blochgibbs.models import ModelKind
+
+# caller -> (a call of one scalar argument, a float and an integer value
+# it accepts); every scalar argument that goes through require_positive
+CALLERS = {
+    "log_gamma": (specfun.log_gamma, 2.5, 3),
+    "digamma": (specfun.digamma, 2.5, 3),
+    "trigamma": (specfun.trigamma, 2.5, 3),
+    "half_shift_gamma": (specfun.half_shift_gamma, 2.5, 3),
+    "mean_energy_series": (models.mean_energy_series, 0.8, 2),
+    "modal_beta_estimate": (
+        lambda E: models.modal_beta_estimate(ModelKind.COMPLEX, E), 0.7, 2),
+    "modal_curvature": (
+        lambda E: models.modal_curvature(ModelKind.KMB, E), 0.7, 2),
+    "approx_beta_large": (models.approx_beta_large, 0.5, 2),
+    "mean_energy_asymptotic": (
+        lambda b: models.mean_energy_asymptotic(b, 3), 5.0, 5),
+    "polarization_asymptotic": (models.polarization_asymptotic, 5.0, 5),
+    "reflection_identity_residual": (
+        models.reflection_identity_residual, 0.7, None),  # poles at integers
+    "dual_density meanE": (
+        lambda e: duality.dual_density(ModelKind.COMPLEX, e, 0.1), 16.3, 16),
+    "run_duality_experiment": (
+        lambda e: duality.run_duality_experiment(ModelKind.QUATERNIONIC, e),
+        16.3, 16),
+    "mean_beta_closed": (duality.mean_beta_closed, 16.3, 16),
+    "var_beta_closed": (duality.var_beta_closed, 16.3, 16),
+    "prior_over_meanE": (duality.prior_over_meanE, 16.3, 16),
+    "brosseau_polarization": (magnetics.brosseau_polarization, 0.5, 2),
+    "critical_beta": (magnetics.critical_beta, 1.5, 2),
+    "order_parameter beta": (
+        lambda b: magnetics.order_parameter(b, 1.0), 0.8, 1),
+    "order_parameter lambda_mf": (
+        lambda lam: magnetics.order_parameter(1.0, lam), 1.5, 2),
+    "spectrum": (lambda b: spectra.spectrum(4, b), 0.7, 1),
+    "zeta_matrix_oracle": (lambda b: spectra.zeta_matrix_oracle(2, b), 0.7, 1),
+    "asymptotic_relent beta": (
+        lambda b: spectra.asymptotic_relent(b, 2.5, 10), 0.7, 1),
+    "asymptotic_relent E": (
+        lambda E: spectra.asymptotic_relent(0.7, E, 10), 2.5, 2),
+    "transform_to_gibbs": (
+        lambda b: priors.transform_to_gibbs(
+            priors.PriorKind(model=ModelKind.KMB, u=0.0), 1.0, b), 1.0, 1),
+    "integrate_interval": (
+        lambda tol: quadrature.integrate_interval(np.exp, 0.0, 1.0, tol), 1e-9,
+        1),
+    "integrate_semiinfinite": (
+        lambda tol: quadrature.integrate_semiinfinite(
+            lambda E: np.exp(-E), tol), 1e-9, 1),
+    "cli": (lambda x: cli._require_positive(x, "--beta"), 0.7, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLERS))
+def test_require_positive_callers(name):
+    fn, good, whole = CALLERS[name]
+    rejected = cli._UsageError if name == "cli" else DomainError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan, 0, -1, 10**400):
+            with pytest.raises(rejected, match="must be finite and > 0"):
+                fn(bad)
+        fn(good)
+        fn(np.float64(good))
+        if whole is not None:
+            fn(whole)
+            fn(np.int64(whole))
+
+
+@pytest.mark.parametrize("bad", [np.array(1.0), np.array([1.0]), "1.0", None,
+                                 1j])
+def test_require_positive_rejects_non_reals(bad):
+    with pytest.raises(DomainError, match="log_gamma x must be finite"):
+        specfun.require_positive(bad, "log_gamma x")
+
+
+MODAL_E = [5e-324, 1e-300, 2.0**-511, 1e-8, 1.0, 700.0, 800.0, 1e308]
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _modal_reference(model, E, curvature):
+    """d/dE ln Omega (or minus its derivative) in 60-digit arithmetic."""
+    with mp.workdps(60):
+        E = mp.mpf(E)
+        if model is ModelKind.REAL:
+            return mp.mpf(0)
+        if model is ModelKind.KMB:
+            r = mp.sqrt(-mp.expm1(-E))
+            a = mp.log1p(r) + E / 2  # artanh r, exact in E as r -> 1
+            if curvature:
+                return (mp.exp(-E) * a / (2 * r) + mp.mpf(1) / 2) / (2 * (r * a)**2)
+            return 1 / (2 * r * a)
+        k = mp.mpf(model.m - 1) / 2
+        if curvature:
+            return k * mp.exp(E) / mp.expm1(E)**2
+        return k / mp.expm1(E)
+
+
+@pytest.mark.parametrize("curvature", [False, True])
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("E", MODAL_E)
+def test_modal_pair_domain(E, model, curvature):
+    fn = models.modal_curvature if curvature else models.modal_beta_estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if E < 2.0**-511:
+            with pytest.raises(DomainError, match="2\\*\\*-511"):
+                fn(model, E)
+            return
+        got = fn(model, E)
+    assert type(got) is float and math.isfinite(got)
+    want = _modal_reference(model, E, curvature)
+    if abs(want) >= SMALLEST_NORMAL:
+        assert abs(got - want) <= 1e-15 * abs(want)
+    else:  # subnormal or below: the docstrings' absolute bound
+        assert abs(got - want) <= 1e-323

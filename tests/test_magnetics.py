@@ -138,7 +138,7 @@ class TestReducedTemperature:
         assert got == pytest.approx(0.120782 - 5.0, abs=1e-3)
 
     def test_loglinear_fit(self):
-        slope, intercept = loglinear_fit(1e3, 1e5, 60)
+        slope, intercept = loglinear_fit()
         assert slope == pytest.approx(-0.5, abs=0.002)
         assert intercept == pytest.approx(0.120782, abs=0.002)
         assert intercept == pytest.approx(LN2 - 0.5 * math.log(math.pi),

@@ -368,7 +368,7 @@ class TestArrayBeta:
 class TestMeanEnergySeries:
     @pytest.mark.parametrize("beta", (0.5, 1.0, 5.0))
     def test_matches_digamma_difference(self, beta):
-        res = mean_energy_series(beta, tol=1e-9)
+        res = mean_energy_series(beta)
         want = mean_energy(GibbsPoint(ModelKind.COMPLEX, beta))
         assert res.value == pytest.approx(want, abs=1e-8)
         assert res.terms_used <= 10**4

@@ -6,14 +6,14 @@ from scipy import integrate as sci
 
 from blochgibbs.errors import DomainError
 from blochgibbs.models import GibbsPoint, ModelKind, pdf
-from blochgibbs.priors import (PriorKind, PriorTag, bloch_cartesian_density,
-                               dirichlet_density, prior_density,
-                               prior_for_model, radial_density,
+from blochgibbs.priors import (PriorKind, angle_count,
+                               bloch_cartesian_density, dirichlet_density,
+                               prior_density, prior_for_model, radial_density,
                                transform_to_gibbs)
 from blochgibbs.specfun import log_gamma
 
 
-def _angular_quadrature(tag):
+def _angular_quadrature(model):
     """Gauss-Legendre nodes/weights per angular coordinate (exact for the
     sin-power integrands), azimuth handled by its measure 2 pi."""
     nodes, weights = np.polynomial.legendre.leggauss(32)
@@ -26,15 +26,15 @@ def full_mass(kind: PriorKind) -> float:
     """Integral of prior_density over its whole state space, via scipy
     radial quadrature x Gauss-Legendre angular sums (independent of the
     package's own quadrature)."""
-    tag = kind.tag
-    theta, w = _angular_quadrature(tag)
-    if tag is PriorTag.CLASS_Q:
+    model = kind.model
+    theta, w = _angular_quadrature(model)
+    if model is ModelKind.CLASSICAL:
         val, _ = sci.quad(lambda r: prior_density(kind, r), 0, 1)
         return val
-    if tag is PriorTag.REAL_Q:
+    if model is ModelKind.REAL:
         val, _ = sci.quad(lambda r: prior_density(kind, r, 1.0), 0, 1)
         return val * 2 * math.pi
-    if tag in (PriorTag.COMPLEX_Q, PriorTag.KMB_Q):
+    if model in (ModelKind.COMPLEX, ModelKind.KMB):
         ang = sum(wi * prior_density(kind, 0.5, ti, 0.0) for ti, wi in
                   zip(theta, w)) / prior_density(kind, 0.5, math.pi / 2, 0.0)
         radial, _ = sci.quad(
@@ -58,53 +58,49 @@ def full_mass(kind: PriorKind) -> float:
 
 class TestPriorKind:
     def test_u_beta_link(self):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.25)
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.25)
         assert kind.beta == 0.75
 
     def test_improper_range_rejected(self):
         for bad_u in (1.0, 1.2, 1.5, math.inf):
             with pytest.raises(DomainError):
-                PriorKind(tag=PriorTag.COMPLEX_Q, u=bad_u)
-
-    def test_model_mapping(self):
-        assert PriorTag.COMPLEX_Q.model is ModelKind.COMPLEX
-        assert PriorTag.KMB_Q.model is ModelKind.KMB
+                PriorKind(model=ModelKind.COMPLEX, u=bad_u)
 
 
 class TestPriorDensity:
     def test_complex_uniform_ball_example(self):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.0)
         got = prior_density(kind, 0.5, math.pi / 2, 1.23)
         assert got == pytest.approx(0.1875 / math.pi, abs=1e-10)
         assert got == pytest.approx(0.0596831, abs=1e-7)
 
     def test_real_disk_example(self):
-        kind = PriorKind(tag=PriorTag.REAL_Q, u=0.0)
+        kind = PriorKind(model=ModelKind.REAL, u=0.0)
         assert prior_density(kind, 0.5, 0.3) == \
             pytest.approx(0.5 / math.pi, abs=1e-12)
         assert 0.5 / math.pi == pytest.approx(0.1591549, abs=1e-7)
 
     def test_phi_independence(self):
-        kind = PriorKind(tag=PriorTag.KMB_Q, u=0.5)
+        kind = PriorKind(model=ModelKind.KMB, u=0.5)
         a = prior_density(kind, 0.4, 1.0, 0.0)
         b = prior_density(kind, 0.4, 1.0, 5.5)
         assert a == b
 
-    @pytest.mark.parametrize("tag", list(PriorTag))
+    @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("u", [-1.0, 0.0, 0.5])
-    def test_unit_mass(self, tag, u):
-        kind = PriorKind(tag=tag, u=u)
+    def test_unit_mass(self, model, u):
+        kind = PriorKind(model=model, u=u)
         assert full_mass(kind) == pytest.approx(1.0, abs=1e-7)
 
     def test_angle_count_enforced(self):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.0)
         with pytest.raises(DomainError):
             prior_density(kind, 0.5)
         with pytest.raises(DomainError):
             prior_density(kind, 0.5, 1.0, 1.0, 1.0)
 
     def test_coordinate_ranges_enforced(self):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.0)
         with pytest.raises(DomainError):
             prior_density(kind, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -145,7 +141,7 @@ class TestTransformToGibbs:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_inconsistent_pair_rejected(self):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)  # beta = 1
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.0)  # beta = 1
         with pytest.raises(DomainError):
             transform_to_gibbs(kind, 1.0, 2.0)
 
@@ -166,7 +162,7 @@ class TestDirichletForm:
         assert worst <= 1e-10
 
     def test_cartesian_matches_spherical(self):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.3)
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.3)
         r, theta, phi = 0.6, 1.1, 0.7
         x = r * math.cos(phi) * math.sin(theta)
         y = r * math.sin(phi) * math.sin(theta)
@@ -182,34 +178,34 @@ class TestDirichletForm:
 
 
 class TestRadialDensity:
-    @pytest.mark.parametrize("tag", list(PriorTag))
-    def test_consistent_with_scipy_marginal(self, tag):
-        kind = PriorKind(tag=tag, u=0.2)
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_consistent_with_scipy_marginal(self, model):
+        kind = PriorKind(model=model, u=0.2)
         # radial marginal must integrate to 1 on its own
         val, _ = sci.quad(lambda r: radial_density(kind, r), 0, 1)
         assert val == pytest.approx(1.0, abs=1e-8)
 
 
-TAGS_U = [(tag, u) for tag in PriorTag for u in (-1.0, 0.0, 0.5, 0.9)]
+MODELS_U = [(model, u) for model in ModelKind for u in (-1.0, 0.0, 0.5, 0.9)]
 R_GRID = np.concatenate([[0.0], np.linspace(1e-3, 0.999, 49)])
 ANGLES = {0: (), 1: (0.7,), 2: (1.1, 0.7), 4: (1.1, 0.4, 2.0, 0.7)}
 
 
 def _reference_density(kind, r, *angles):
     """The five hand-written family branches the ball law replaced."""
-    u, tag = kind.u, kind.tag
+    u, model = kind.u, kind.model
     w = (1.0 - r * r) ** (-u)
-    if tag is PriorTag.COMPLEX_Q:
+    if model is ModelKind.COMPLEX:
         return (math.exp(log_gamma(2.5 - u) - log_gamma(1.0 - u))
                 * r * r * math.sin(angles[0]) * w / math.pi**1.5)
-    if tag is PriorTag.QUAT_Q:
+    if model is ModelKind.QUATERNIONIC:
         t1, t2, t3 = angles[:3]
         return (math.exp(log_gamma(3.5 - u) - log_gamma(1.0 - u))
                 * r**4 * math.sin(t1)**3 * math.sin(t2)**2 * math.sin(t3)
                 * w / math.pi**2.5)
-    if tag is PriorTag.REAL_Q:
+    if model is ModelKind.REAL:
         return (1.0 - u) * r * w / math.pi
-    if tag is PriorTag.CLASS_Q:
+    if model is ModelKind.CLASSICAL:
         return (2.0 * math.exp(log_gamma(1.5 - u) - log_gamma(1.0 - u))
                 * w / math.sqrt(math.pi))
     log_ratio = math.log1p(r) - math.log1p(-r)
@@ -218,19 +214,19 @@ def _reference_density(kind, r, *angles):
 
 
 class TestBallLaw:
-    @pytest.mark.parametrize("tag, u", TAGS_U)
-    def test_matches_family_branches(self, tag, u):
-        kind = PriorKind(tag=tag, u=u)
-        angles = ANGLES[tag.angle_count]
+    @pytest.mark.parametrize("model, u", MODELS_U)
+    def test_matches_family_branches(self, model, u):
+        kind = PriorKind(model=model, u=u)
+        angles = ANGLES[angle_count(model)]
         for r in R_GRID:
             want = _reference_density(kind, float(r), *angles)
             got = prior_density(kind, float(r), *angles)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("tag, u", TAGS_U)
-    def test_array_r_equals_float_r(self, tag, u):
-        kind = PriorKind(tag=tag, u=u)
-        angles = ANGLES[tag.angle_count]
+    @pytest.mark.parametrize("model, u", MODELS_U)
+    def test_array_r_equals_float_r(self, model, u):
+        kind = PriorKind(model=model, u=u)
+        angles = ANGLES[angle_count(model)]
         radial = radial_density(kind, R_GRID)
         density = prior_density(kind, R_GRID, *angles)
         assert radial.shape == density.shape == R_GRID.shape
@@ -252,12 +248,12 @@ class TestBallLaw:
             assert type(one) is float
             assert got[i] == one
 
-    @pytest.mark.parametrize("tag, limit", [
-        (PriorTag.CLASS_Q, math.inf), (PriorTag.REAL_Q, 0.75),
-        (PriorTag.COMPLEX_Q, 0.0), (PriorTag.QUAT_Q, 0.0),
-        (PriorTag.KMB_Q, 0.0)])
-    def test_zero_energy_limits_in_an_array(self, tag, limit):
-        kind = PriorKind(tag=tag, u=0.25)
+    @pytest.mark.parametrize("model, limit", [
+        (ModelKind.CLASSICAL, math.inf), (ModelKind.REAL, 0.75),
+        (ModelKind.COMPLEX, 0.0), (ModelKind.QUATERNIONIC, 0.0),
+        (ModelKind.KMB, 0.0)])
+    def test_zero_energy_limits_in_an_array(self, model, limit):
+        kind = PriorKind(model=model, u=0.25)
         got = transform_to_gibbs(kind, np.array([0.5, 0.0, 2.0, 0.0]), 0.75)
         assert got[1] == got[3] == limit
         assert np.all(np.isfinite(got[[0, 2]])) and np.all(got[[0, 2]] > 0)
@@ -265,7 +261,7 @@ class TestBallLaw:
 
     @pytest.mark.parametrize("bad", [1.0, -1e-3, math.nan, math.inf])
     def test_bad_r_element_rejected(self, bad):
-        kind = PriorKind(tag=PriorTag.KMB_Q, u=0.0)
+        kind = PriorKind(model=ModelKind.KMB, u=0.0)
         r = np.array([0.1, bad, 0.5])
         with pytest.raises(DomainError, match=r"r must lie in \[0, 1\)"):
             radial_density(kind, r)
@@ -276,14 +272,14 @@ class TestBallLaw:
 
     @pytest.mark.parametrize("bad", [-1e-3, math.inf, math.nan])
     def test_bad_e_element_rejected(self, bad):
-        kind = PriorKind(tag=PriorTag.COMPLEX_Q, u=0.0)
+        kind = PriorKind(model=ModelKind.COMPLEX, u=0.0)
         with pytest.raises(DomainError, match="E must be >= 0"):
             transform_to_gibbs(kind, np.array([0.1, bad, 1.0]), 1.0)
         with pytest.raises(DomainError, match="E must be >= 0"):
             transform_to_gibbs(kind, bad, 1.0)
 
     def test_angle_counts_follow_m(self):
-        assert [t.angle_count for t in PriorTag] == [2, 4, 1, 0, 2]
-        for tag in PriorTag:
-            if tag.model.m is not None:
-                assert tag.angle_count == tag.model.m
+        assert [angle_count(model) for model in ModelKind] == [1, 2, 4, 0, 2]
+        for model in ModelKind:
+            if model.m is not None:
+                assert angle_count(model) == model.m

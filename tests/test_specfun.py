@@ -18,6 +18,29 @@ mp.mp.dps = 50
 EULER_GAMMA = 0.57721566490153286061
 
 
+class TestBernoulliTable:
+    def test_exact_pairs(self):
+        assert [k for k, _, _ in specfun._BERNOULLI] == list(range(2, 22, 2))
+        for k, p, q in specfun._BERNOULLI:
+            assert mp.bernfrac(k) == (p, q)
+
+    def test_derived_coefficients_are_correctly_rounded(self):
+        # 60 digits, then one rounding to the nearest double; no coefficient
+        # is a dyadic rational, so none sits on a rounding tie
+        with mp.workdps(60):
+            b = {k: mp.bernoulli(k) for k in range(2, 22, 2)}
+            want = {
+                "_STIRLING": [b[k] / (k * (k - 1)) for k in range(2, 18, 2)],
+                "_PSI_TAIL": [b[k] / k for k in range(2, 18, 2)],
+                "_TRIGAMMA_TAIL": [b[k] for k in range(2, 18, 2)],
+                "_HALF_SHIFT_B": [b[k] * (1 - 2**k) / 2**(k - 1)
+                                  for k in range(2, 22, 2)],
+            }
+            for name, values in want.items():
+                got = [float(c) for c in getattr(specfun, name)]
+                assert got == [float(v) for v in values], name
+
+
 class TestLogGamma:
     def test_at_one(self):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)

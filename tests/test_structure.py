@@ -150,7 +150,7 @@ class TestOneQuadratureEngine:
                 lambda f, *a, entry=entry, **k: entry(_recording(f, calls),
                                                       *a, **k))
         # the KMB prior's endpoint log singularity takes several levels
-        verify._radial_norm(priors.PriorKind(tag=priors.PriorTag.KMB_Q, u=0.5))
+        verify._radial_norm(priors.PriorKind(model=ModelKind.KMB, u=0.5))
         duality.run_duality_experiment(ModelKind.COMPLEX, 16.3)
         verify._quad_expectation(GibbsPoint(ModelKind.CLASSICAL, 0.3),
                                  lambda E: E)
