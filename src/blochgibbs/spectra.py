@@ -14,6 +14,7 @@ nonlinear solves it gives rise to (stationary point and maximin).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,16 +73,18 @@ class SpectrumTable:
         }
 
 
-def _lambda_nd(n: int, d: int, beta: float) -> float:
-    # log-domain gamma ratio; all arguments positive for beta > 0
-    log_lam = (-n * math.log(2.0)
-               + log_gamma(1.5 + beta)
-               + log_gamma(1.0 + n - d + beta)
-               + log_gamma(d + beta)
-               - log_gamma(1.5 + n / 2.0 + beta)
-               - log_gamma(1.0 + n / 2.0 + beta)
-               - log_gamma(beta))
-    return math.exp(log_lam)
+def _lambda_nd(n: int, beta: float) -> list[float]:
+    """lambda_{n,d} for d = 0..floor(n/2), as log-domain gamma ratios (all
+    arguments positive for beta > 0).  The four terms that do not depend
+    on d are evaluated once per table; the sum keeps its left-to-right
+    order, so each lambda is the same double as term by term."""
+    head = -n * math.log(2.0) + log_gamma(1.5 + beta)
+    g_half = log_gamma(1.5 + n / 2.0 + beta)
+    g_one = log_gamma(1.0 + n / 2.0 + beta)
+    g_beta = log_gamma(beta)
+    return [math.exp(head + log_gamma(1.0 + n - d + beta) + log_gamma(d + beta)
+                     - g_half - g_one - g_beta)
+            for d in range(n // 2 + 1)]
 
 
 def _multiplicity(n: int, d: int) -> int:
@@ -114,8 +117,8 @@ def spectrum(n: int, beta: float) -> SpectrumTable:
             f"multiplicities m_(n,d) exceed the double range")
     require_positive(beta, "spectrum beta")
     entries = tuple(
-        SpectrumEntry(d=d, lam=_lambda_nd(n, d, beta), multiplicity=_multiplicity(n, d))
-        for d in range(n // 2 + 1)
+        SpectrumEntry(d=d, lam=lam, multiplicity=_multiplicity(n, d))
+        for d, lam in enumerate(_lambda_nd(n, beta))
     )
     return SpectrumTable(n=int(n), beta=float(beta), entries=entries)
 
@@ -151,33 +154,58 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _radial_moments(n: int, beta: float, nodes: int) -> np.ndarray:
+def _radial_moments(n: int, beta: float,
+                    levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """m_k = <((1+r)/2)^k ((1-r)/2)^(n-k)>, k = 0..n, over the complex-family
     radius r = Omega(E), by Gauss-Legendre in t = sqrt(E) on
-    [0, sqrt(50/beta)].  Past t = 6, 1 - r < 1e-16, so a separate panel
-    there keeps small beta (a long flat tail) from starving the region
-    where r varies."""
+    [0, sqrt(50/beta)], one array of moments per rule size in ``levels``.
+    All the levels share one ``pdf`` call on their joined nodes.  Past
+    t = 6, 1 - r < 1e-16, so a separate panel there keeps small beta (a
+    long flat tail) from starving the region where r varies."""
     t_up = math.sqrt(50.0 / beta)
     edges = (0.0, t_up) if t_up <= 6.0 else (0.0, 6.0, t_up)
-    x, w = _gauss_legendre(nodes)
     half = np.diff(edges)[:, None] / 2.0
-    t = (half * (x + 1.0) + np.array(edges[:-1])[:, None]).ravel()
+    rules = [_gauss_legendre(nodes) for nodes in levels]
+    t = np.concatenate([(half * (x + 1.0) + np.array(edges[:-1])[:, None]).ravel()
+                        for x, _ in rules])
     E = t * t
     # pdf in t is pdf(E) dE/dt = pdf(E) 2t
-    w = (half * w).ravel() * pdf(GibbsPoint(ModelKind.COMPLEX, beta), E) * 2.0 * t
+    w = (np.concatenate([(half * w).ravel() for _, w in rules])
+         * pdf(GibbsPoint(ModelKind.COMPLEX, beta), E) * 2.0 * t)
     r = omega_complex(E)
     up = 0.5 * (1.0 + r)
     down = 0.5 * np.exp(-E) / (1.0 + r)  # (1 - r)/2 without cancellation
     k = np.arange(n + 1)
-    return w @ (up[:, None] ** k * down[:, None] ** (n - k))
+    powers = up[:, None] ** k * down[:, None] ** (n - k)
+    ends = list(itertools.accumulate(half.size * nodes for nodes in levels))
+    return tuple(w[a:b] @ powers[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
-def _apply_power_to_rows(v: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """v^(x)n m for a 2^n-row matrix m, one tensor factor at a time."""
-    cols = m.shape[1]
-    for j in range(n):
-        m = np.matmul(v, m.reshape(2 ** j, 2, -1))
-    return m.reshape(2 ** n, cols)
+@functools.cache
+def _spherical_design(n: int) -> np.ndarray:
+    """The spherical n-design as a linear map from the n+1 radial moments
+    to zeta_n: zeta_n = sum_k m_k C[k], with
+    C[k] = (sum_theta w_theta R^(x)n D_k R^(x)n^T) * phase / (n+1), where
+    D_k keeps the basis states with k "+" factors and phase, entrywise,
+    sums the P^(x)n conjugation phases over the n+1 equispaced phi.  C
+    does not depend on beta, so each n is built on its first request, in
+    one pass over the theta nodes, and shared read-only after it."""
+    minus_count = np.array([bin(i).count("1") for i in range(2 ** n)])
+    cos_theta, w_theta = _gauss_legendre(n // 2 + 1)
+    real = np.zeros((n + 1, 2 ** n, 2 ** n))
+    for ct, w in zip(cos_theta, 0.5 * w_theta):
+        c, s = math.sqrt(0.5 * (1.0 + ct)), math.sqrt(0.5 * (1.0 - ct))
+        rot = np.array([[c, -s], [s, c]])  # columns: +1, -1 eigenvectors
+        rot_n = functools.reduce(np.kron, [rot] * n)  # R^(x)n
+        for k in range(n + 1):
+            cols = rot_n[:, minus_count == n - k]
+            real[k] += w * (cols @ cols.T)
+    phi = 2.0 * math.pi * np.arange(n + 1) / (n + 1)
+    phase = np.exp(1j * np.multiply.outer(phi, minus_count))  # P^(x)n diagonals
+    design = real * (phase.T @ phase.conj())
+    design /= n + 1
+    design.flags.writeable = False
+    return design
 
 
 def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
@@ -192,11 +220,14 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     of degree <= n in u, integrated exactly by a spherical n-design:
     Gauss-Legendre in cos(theta) with floor(n/2)+1 nodes times n+1
     equispaced phi.  Since V = P R(theta) P^dagger with P = diag(1, e^(i phi))
-    and P^(x)n diagonal, each theta node is one real conjugation by R^(x)n,
-    applied a factor at a time, and the phi nodes are entrywise phases.
-    Only the moments are numerical: radial Gauss-Legendre levels 48, 96,
-    192, 384 until two agree to 1e-9; the direction weights are positive
-    and sum to 1, so (Weyl) the eigenvalues then agree to 1e-9 too.
+    and P^(x)n diagonal, each theta node is one real conjugation by R^(x)n
+    and the phi nodes are entrywise phases.  zeta_n is therefore linear in
+    the moments, zeta_n = sum_k m_k C_(n,k), and the design C_(n,k)
+    depends on n alone: it is built once per n (``_spherical_design``) and
+    each call only contracts the n+1 moments with it.  Only the moments
+    are numerical: radial Gauss-Legendre levels 48, 96, 192, 384 until two
+    agree to 1e-9; the direction weights are positive and sum to 1, so
+    (Weyl) the eigenvalues then agree to 1e-9 too.
 
     Domain: integer n in 1..8, finite beta > 0; DomainError outside it,
     QuadratureError if the radial levels do not settle.
@@ -206,42 +237,35 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     beta the error follows the relative error of ``models.partition``
     (1e-11 at beta = 1e4).  The output is exactly Hermitian.
 
-    Cost (one core, beta in [0.3, 5]): the first call in a process also
+    Cost (one core, beta in [0.3, 5]): the first call for each n also
     builds the Gauss-Legendre rules it needs (``_gauss_legendre``; the
     radial levels stop at 96 nodes for every n here and beta from 1e-10
-    to 100, and the 48- and 96-node rules take about 2 ms) and takes
-    7-9 ms for n = 3 and 18-21 ms for n = 8.  Later calls reuse the rules:
-    about 0.2-0.3 ms for n = 3 and 8-9 ms, with a few MB of working
-    memory, for n = 8, where the 256 x 256 conjugations dominate.
+    to 100) and the design, and takes 8-9 ms for n = 3 and 50-60 ms for
+    n = 8, where building the design (256 x 256 conjugations and
+    products) takes 32-48 ms.  Later calls pay for one pdf evaluation on
+    the 144 (or 288) joined radial nodes and one (n+1)-term contraction:
+    about 0.11-0.18 ms for n = 3 and 1.1-1.3 ms for n = 8.  The design is
+    stored complex, (n+1) 4^n entries: 4 KB for n = 3, 9.4 MB for n = 8
+    and 12.1 MB for all n <= 8 (stored as real parts plus one phase
+    matrix it would be 5.8 MB at n = 8, but the contraction would round
+    differently).
     """
     if not (1 <= n <= _MAX_TENSOR_N and n == int(n)):
         raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
     require_positive(beta, "zeta_matrix_oracle beta")
     n = int(n)
-    moments = _radial_moments(n, beta, _RADIAL_LEVELS[0])
-    for nodes in _RADIAL_LEVELS[1:]:
-        finer = _radial_moments(n, beta, nodes)
-        drift = float(np.max(np.abs(finer - moments)))
-        moments = finer
-        if drift < _DRIFT_TOL:
-            break
-    else:
-        raise QuadratureError(
-            f"tensor average radial moments still drifting ({drift:.2e}) at "
-            f"{nodes} nodes")
+    coarse, moments = _radial_moments(n, beta, _RADIAL_LEVELS[:2])
+    finer_levels = iter(_RADIAL_LEVELS[2:])
+    # "not <" so that a NaN drift counts as drifting
+    while not (drift := float(np.max(np.abs(moments - coarse)))) < _DRIFT_TOL:
+        nodes = next(finer_levels, None)
+        if nodes is None:
+            raise QuadratureError(
+                f"tensor average radial moments still drifting ({drift:.2e}) "
+                f"at {_RADIAL_LEVELS[-1]} nodes")
+        coarse, (moments,) = moments, _radial_moments(n, beta, (nodes,))
 
-    minus_count = np.array([bin(i).count("1") for i in range(2 ** n)])
-    diag = moments[n - minus_count]
-    cos_theta, w_theta = _gauss_legendre(n // 2 + 1)
-    real_part = np.zeros((2 ** n, 2 ** n))
-    for ct, w in zip(cos_theta, 0.5 * w_theta):
-        c, s = math.sqrt(0.5 * (1.0 + ct)), math.sqrt(0.5 * (1.0 - ct))
-        rot = np.array([[c, -s], [s, c]])  # columns: +1, -1 eigenvectors
-        half = _apply_power_to_rows(rot, np.diag(diag), n)  # R^(x)n D
-        real_part += w * _apply_power_to_rows(rot, half.T, n)
-    phi = 2.0 * math.pi * np.arange(n + 1) / (n + 1)
-    phase = np.exp(1j * np.multiply.outer(phi, minus_count))  # P^(x)n diagonals
-    zeta = real_part * (phase.T @ phase.conj()) / (n + 1)
+    zeta = (moments @ _spherical_design(n).reshape(n + 1, -1)).reshape(2 ** n, 2 ** n)
     return 0.5 * (zeta + zeta.conj().T)
 
 

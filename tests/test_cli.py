@@ -405,6 +405,20 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
+    def test_duality_suite_runs_each_experiment_once(self, monkeypatch):
+        calls = []
+        run = verify.duality.run_duality_experiment
+
+        def counted(model, mean_e):
+            calls.append((model, mean_e))
+            return run(model, mean_e)
+
+        monkeypatch.setattr(verify.duality, "run_duality_experiment", counted)
+        checks = verify._suite_duality(12345)
+        assert all(c.passed for c in checks)
+        assert len(calls) == 4
+        assert len(set(calls)) == 4
+
     def test_all_suites_pass_on_correct_build(self):
         code, report = verify.run_verify("all")
         assert code == 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochgibbs
-from blochgibbs import spectra
+from blochgibbs import spectra, specfun
 from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import GibbsPoint, ModelKind, mean_energy, mean_polarization
 from blochgibbs.oracles import DensityMatrix2
@@ -85,6 +85,22 @@ class TestSpectrum:
         for fn in (spectrum, spin_sum_polarization):
             with pytest.raises(DomainError, match=r"n <= 1028.*double range"):
                 fn(1029, 1.0)
+
+    @pytest.mark.parametrize("n,beta", [(n, beta) for n in (1, 2, 12, 400)
+                                        for beta in (1e-10, 0.3, 1.0, 1e3)])
+    def test_lambdas_equal_seven_term_sum(self, n, beta):
+        # each lambda_{n,d} is the same double as the term-by-term sum
+        lg = specfun.log_gamma
+        for e in spectrum(n, beta).entries:
+            d = e.d
+            log_lam = (-n * math.log(2.0)
+                       + lg(1.5 + beta)
+                       + lg(1.0 + n - d + beta)
+                       + lg(d + beta)
+                       - lg(1.5 + n / 2.0 + beta)
+                       - lg(1.0 + n / 2.0 + beta)
+                       - lg(beta))
+            assert e.lam == math.exp(log_lam)
 
     def test_largest_n_is_where_multiplicities_leave_doubles(self):
         n = spectra._MAX_SPECTRUM_N
@@ -165,10 +181,36 @@ class TestZetaOracle:
         with pytest.raises(QuadratureError, match="still drifting"):
             zeta_matrix_oracle(3, 1.0)
 
+    @pytest.mark.parametrize("n,beta", [(n, beta) for n in range(1, 6)
+                                        for beta in (0.3, 1.0, 5.0)])
+    def test_matches_explicit_kron_average(self, n, beta):
+        # the same angular rule written out term by term: for each direction
+        # u, V = P R(theta) P^dagger, and V^(x)n diag(m_k(i)) V^(x)n^dagger
+        # from np.kron products, averaged over theta and phi
+        # the oracle's radial gate stops at the 96-node level here
+        coarse, moments = spectra._radial_moments(n, beta, (48, 96))
+        assert np.max(np.abs(moments - coarse)) < spectra._DRIFT_TOL
+        plus = np.array([n - bin(i).count("1") for i in range(2 ** n)])
+        diag = np.diag(moments[plus])
+        cos_theta, w_theta = np.polynomial.legendre.leggauss(n // 2 + 1)
+        want = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for ct, w in zip(cos_theta, w_theta / 2.0):
+            c, s = math.sqrt((1.0 + ct) / 2.0), math.sqrt((1.0 - ct) / 2.0)
+            rot = np.array([[c, -s], [s, c]])
+            for phi in 2.0 * math.pi * np.arange(n + 1) / (n + 1):
+                p = np.diag([1.0, np.exp(1j * phi)])
+                v = p @ rot @ p.conj().T
+                v_n = np.ones((1, 1))
+                for _ in range(n):
+                    v_n = np.kron(v_n, v)
+                want += w / (n + 1) * (v_n @ diag @ v_n.conj().T)
+        assert np.max(np.abs(zeta_matrix_oracle(n, beta) - want)) < 1e-15
+
     @pytest.mark.parametrize("n,beta", [(n, beta) for n in range(1, 9)
                                         for beta in (1e-10, 0.3, 1.0, 100.0)])
     def test_cold_and_warm_calls_bit_identical(self, n, beta):
         spectra._gauss_legendre.cache_clear()
+        spectra._spherical_design.cache_clear()
         cold = zeta_matrix_oracle(n, beta)
         assert np.array_equal(zeta_matrix_oracle(n, beta), cold)
 
@@ -193,13 +235,25 @@ class TestGaussLegendreRule:
     def test_import_builds_no_rule(self):
         script = ("import blochgibbs.cli\n"
                   "from blochgibbs import spectra\n"
-                  "print(spectra._gauss_legendre.cache_info().currsize)\n")
+                  "print(spectra._gauss_legendre.cache_info().currsize)\n"
+                  "print(spectra._spherical_design.cache_info().currsize)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(blochgibbs.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n"
+        assert proc.stdout == "0\n0\n"
+
+
+class TestSphericalDesign:
+    def test_shared_array_is_read_only(self):
+        design = spectra._spherical_design(3)
+        before = design.copy()
+        with pytest.raises(ValueError):
+            design[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            design += 1.0
+        assert np.array_equal(spectra._spherical_design(3), before)
 
 
 class TestRelativeEntropy:
