@@ -213,24 +213,28 @@ def structure_function(model: ModelKind, E):
     return _as_float_or_array(out, scalar)
 
 
-def _log_partition_power(half_dof: float, beta: float) -> float:
-    return log_gamma(half_dof) + log_gamma(beta) - log_gamma(half_dof + beta)
-
-
 def partition(point: GibbsPoint) -> float | np.ndarray:
     """Partition function Z(beta) = integral of e^(-beta E) Omega(E).
 
     The single expression Gamma((m+1)/2) Gamma(beta) / Gamma((m+1)/2+beta)
-    covers all four power-law families; float or array beta > 0.  The KMB
-    value is Z_classical / beta = sqrt(pi) e^(-L(beta)) / beta with the
-    half-shift L of ``specfun.half_shift_gamma``, for beta in
-    [2**-511, 2**511] (see ``_kmb_moment``).
+    covers all four power-law families; float or array beta > 0 up to
+    log_gamma's ceiling 2.5563e305.  Z ~ 1/beta overflows below about
+    5.56e-309, where DomainError replaces it.  The KMB value is
+    Z_classical / beta = sqrt(pi) e^(-L(beta)) / beta with the half-shift
+    L of ``specfun.half_shift_gamma``, for beta in [2**-511, 2**511] (see
+    ``_kmb_moment``).
     """
     _require_positive_beta(point)
     if point.model is ModelKind.KMB:
         return _kmb_moment(point.beta, "partition", _kmb_partition)
-    return per_element(math.exp,
-                       _log_partition_power(point.model.half_dof, point.beta))
+    h, beta = point.model.half_dof, point.beta
+    try:
+        return per_element(math.exp, log_gamma(h) + log_gamma(beta)
+                           - log_gamma(h + beta))
+    except OverflowError:
+        raise DomainError(
+            f"{point.model.value} partition overflows below beta of about "
+            f"5.56e-309, got {float(np.min(beta))!r}") from None
 
 
 def pdf(point: GibbsPoint, E):
@@ -494,11 +498,8 @@ def _atanh_tail(r2, om, first: int):
     """2 sum_{k >= first} om^(2k+1) / (2k+1) = 2 (artanh(om) - om - ...),
     for om = sqrt(r2), r2 < 0.49, as a float or an array: the same Horner
     operations in r^2 either way, so they agree bit for bit."""
-    acc = 0.0
-    for c in reversed(_ATANH_SERIES[first - 1:]):
-        acc = acc * r2 + c
     lead = om * r2 if first == 1 else om * r2 * r2
-    return 2.0 * lead * acc
+    return 2.0 * lead * specfun._horner(_ATANH_SERIES[first - 1:], r2)
 
 
 # c_k / (2k+3), k = 0..55: at r^2 < 0.49 the omitted tail is below
@@ -528,11 +529,7 @@ def _kmb_integrated_density(E0: np.ndarray) -> np.ndarray:
 
 def _kmb_density_series(r2: np.ndarray) -> np.ndarray:
     """4 r^3 sum_k c_k r^(2k) / (2k+3) for r^2 < 0.49."""
-    acc = np.zeros_like(r2)
-    for c in reversed(_KMB_SERIES):
-        acc *= r2
-        acc += c
-    return 4.0 * np.power(r2, 1.5) * acc
+    return 4.0 * np.power(r2, 1.5) * specfun._horner(_KMB_SERIES, r2)
 
 
 def _kmb_density_dilog(E0: np.ndarray, r2: np.ndarray) -> np.ndarray:

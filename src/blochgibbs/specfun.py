@@ -1,21 +1,23 @@
 """Real-argument special functions with explicit accuracy targets.
 
-log_gamma uses upward recurrence into a Stirling series with Bernoulli
-coefficients; digamma and trigamma use the same recurrence-shift strategy
-(threshold 6) into their Bernoulli asymptotic tails.  These and the 1/x
-expansions of half_shift_gamma take their coefficients from one table,
-``_BERNOULLI`` (B_2, ..., B_20 as exact integer pairs).  The unit-argument
-generalized hypergeometric summator works in vectorized blocks.  At unit
-argument the term ratio tends to 1 and the tail decays only
-algebraically, like K^-s with the excess s = sum(b) - sum(a) known before
-the first term, so a Richardson ladder with the known exponents s,
-s + 1, ... extrapolates the partial sums (A. Sidi, Practical
-Extrapolation Methods, Cambridge 2003).
+log_gamma, digamma and trigamma share one kernel (``_recurrence``): shift
+x up by unit steps to 10 (ln Gamma) or 6 (psi, psi'), summing ln x, 1/x
+or 1/x^2, then sum the Bernoulli tail in 1/x^2 (DLMF 5.11).  One Horner
+routine (``_horner``) sums every coefficient table here and in
+``models``; the Bernoulli ones come from ``_BERNOULLI`` (B_2, ..., B_20 as
+exact integer pairs).  The unit-argument generalized hypergeometric
+summator works in vectorized blocks.  At unit argument the term ratio
+tends to 1 and the tail decays only algebraically, like K^-s with the
+excess s = sum(b) - sum(a) known before the first term, so a Richardson
+ladder with the known exponents s, s + 1, ... extrapolates the partial
+sums (A. Sidi, Practical Extrapolation Methods, Cambridge 2003).
 
-Accuracy targets (absolute unless noted):
-    log_gamma   1e-12 relative to max(1, |ln Gamma|)
-    digamma     1e-11 on (0, 1e6]
-    trigamma    1e-10 on [2**-511, 1e6]; DomainError below 2**-511
+Domains (DomainError outside, on both paths, with no numpy warning) and
+accuracy targets, relative to max(1, |value|) (measured against mpmath
+over each whole domain: 5.4e-15, 2.4e-14, 7.1e-14):
+    log_gamma   0 < x <= 2.5563e305, where (x - 1/2) ln x is finite; 1e-12
+    digamma     x > 2**-1024 (about 5.56e-309), where 1/x is finite; 1e-11
+    trigamma    x >= 2**-511 (about 1.49e-154), where 1/x^2 is finite; 1e-10
     half_shift_gamma  L = ln Gamma(x+1/2) - ln Gamma(x) within
                 4e-16 max(1, |L|), D = L' and T = -L'' within 8e-16
                 relative, on [2**-511, 1e20]; DomainError below 2**-511
@@ -152,58 +154,74 @@ def per_element(fn, x):
     return fn(x)
 
 
-def _shift_up(x, name, threshold, step):
-    """Masked upward recurrence for an array argument.
-
-    Adds ``step(x)`` into an accumulator and ``x += 1`` on the elements
-    still below ``threshold`` until none is, exactly as the scalar loops do
-    per element.  Returns the shifted copy of ``x``, the accumulator and
-    1/x^2.  Overflow and division by zero give inf or 0 without a
-    warning (x^2 overflows above x = 1e154).
-    """
-    x = np.array(x, dtype=float)
-    ok = (x > 0) & (x < math.inf)
-    if not ok.all():
-        raise DomainError(f"{name} requires finite positive arguments, "
-                          f"got {x[~ok].flat[0]!r}")
-    acc = np.zeros_like(x)
-    idx = np.flatnonzero(x < threshold)
-    flat_x, flat_acc = x.reshape(-1), acc.reshape(-1)
-    with np.errstate(over="ignore", divide="ignore"):
+def _recurrence(x, spec):
+    """The kernel of log_gamma, digamma and trigamma: DomainError unless
+    floor <= x <= ceiling; then, while x < threshold, add step(x) to a sum
+    and set x += 1; form z = 1/x^2 and sum the Bernoulli tail in z.
+    Returns (x, sum, z, tail).  An ndarray runs the float loop masked per
+    element, with an array step that rounds as the float step does, so
+    each element equals the float result bit for bit."""
+    name, floor, ceiling, domain, threshold, step, array_step, tail = spec
+    if isinstance(x, np.ndarray):
+        x = np.array(x, dtype=float)
+        outside = x[~((x >= floor) & (x <= ceiling))]
+        if outside.size:  # the float check raises for it
+            return _recurrence(outside.flat[0].item(), spec)
+        total = np.zeros_like(x)
+        flat_x, flat_total = x.reshape(-1), total.reshape(-1)
+        idx = np.flatnonzero(x < threshold)
         while idx.size:
-            flat_acc[idx] += step(flat_x[idx])
+            flat_total[idx] += array_step(flat_x[idx])
             flat_x[idx] += 1.0
             idx = idx[flat_x[idx] < threshold]
+        with np.errstate(over="ignore"):  # x*x is inf above 1e154, z 0
+            z = 1.0 / (x * x)
+    else:
+        if not (isinstance(x, _REALS) and floor <= x <= ceiling):
+            require_positive(x, f"{name} x")
+            raise DomainError(f"{name} requires {domain}, got {x!r}")
+        total = 0.0
+        while x < threshold:
+            total += step(x)
+            x += 1.0
         z = 1.0 / (x * x)
-    return x, acc, z
+    return x, total, z, _horner(tail, z)
+
+
+def _horner(coeffs, z):
+    """sum_i coeffs[i] z^i by Horner's rule for a float or an array z (in
+    place, in one new array); coefficients may be broadcasting arrays."""
+    acc = 0.0 * coeffs[0] * z  # a zero of the result's shape
+    for c in reversed(coeffs):
+        acc *= z
+        acc += c
+    return acc
+
+
+# name, floor, ceiling (the largest x with (x - 1/2) ln x finite; the
+# smallest with 1/x finite, 2**-1024 + 2**-1074), domain, threshold, float
+# and array step (np.log rounds differently from math.log), Bernoulli tail
+_LOG_GAMMA = ("log_gamma", math.ulp(0.0),
+              float.fromhex("0x1.74c5de97bb960p+1014"),
+              "x <= 2.5563481638716906e305", _SHIFT_GAMMA, math.log,
+              lambda v: per_element(math.log, v), _STIRLING)
+_DIGAMMA = ("digamma", float.fromhex("0x0.4000000000001p-1022"),
+            sys.float_info.max,
+            "x > 2**-1024 (about 5.56e-309)", _SHIFT_PSI, lambda v: 1.0 / v,
+            lambda v: 1.0 / v, _PSI_TAIL)
+_TRIGAMMA = ("trigamma", _SQUARE_FLOOR, sys.float_info.max,
+             "x >= 2**-511 (about 1.49e-154)", _SHIFT_PSI,
+             lambda v: 1.0 / (v * v), lambda v: 1.0 / (v * v), _TRIGAMMA_TAIL)
 
 
 def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
-    """Natural log of Gamma(x) for x > 0.
-
-    ``x`` is a float or a float ndarray.  A float runs the scalar
-    recurrence and returns a float (about 2 us).  An array runs the same
-    recurrence, masked per element, with the same Stirling coefficients,
-    shift threshold, Horner order and ``math.log``, and returns an array of
-    the same shape whose elements equal the scalar results bit for bit.
-    200 elements spread over [0.1, 100] take about 0.2 ms; a 0-d array
-    still costs about 60 us, so scalars belong on the float path.  Any
-    element that is not finite and positive raises DomainError.
-    """
-    if isinstance(x, np.ndarray):
-        x, shift, z = _shift_up(x, "log_gamma", _SHIFT_GAMMA,
-                                lambda v: -per_element(math.log, v))
-    else:
-        require_positive(x, "log_gamma x")
-        shift = 0.0
-        while x < _SHIFT_GAMMA:
-            shift -= math.log(x)
-            x += 1.0
-        z = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_STIRLING):
-        tail = tail * z + c
-    return (shift + (x - 0.5) * per_element(math.log, x) - x + _LN_SQRT_2PI
+    """Natural log of Gamma(x) for 0 < x <= 2.5563481638716906e305, a
+    float or a float ndarray (one ``_recurrence`` and Stirling's formula).
+    A float takes about 2 us; 200 array elements over [0.1, 100] about
+    0.2 ms, but a 0-d array about 60 us, so scalars belong on the float
+    path.  Outside the domain, DomainError."""
+    x, total, z, tail = _recurrence(x, _LOG_GAMMA)
+    return ((x - 0.5) * per_element(math.log, x) - total - x + _LN_SQRT_2PI
             + tail / x)
 
 
@@ -229,21 +247,10 @@ def log_gamma_signed(x: float) -> tuple[float, int]:
 
 
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
-    """psi(x) = d/dx ln Gamma(x) for x > 0; a float or a float ndarray,
-    on the same two paths as :func:`log_gamma`."""
-    if isinstance(x, np.ndarray):
-        x, acc, z = _shift_up(x, "digamma", _SHIFT_PSI, lambda v: -1.0 / v)
-    else:
-        require_positive(x, "digamma x")
-        acc = 0.0
-        while x < _SHIFT_PSI:
-            acc -= 1.0 / x
-            x += 1.0
-        z = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_PSI_TAIL):
-        tail = tail * z + c
-    return acc + per_element(math.log, x) - 0.5 / x - tail * z
+    """psi(x) = d/dx ln Gamma(x) for x > 2**-1024 (about 5.56e-309), a
+    float or a float ndarray as for :func:`log_gamma`; DomainError below."""
+    x, total, z, tail = _recurrence(x, _DIGAMMA)
+    return per_element(math.log, x) - total - 0.5 / x - tail * z
 
 
 def require_square_floor(x: float | np.ndarray, name: str,
@@ -262,26 +269,10 @@ def require_square_floor(x: float | np.ndarray, name: str,
 
 
 def trigamma(x: float | np.ndarray) -> float | np.ndarray:
-    """psi'(x) for x >= 2**-511 (about 1.5e-154); a float or a float
-    ndarray, on the same two paths as :func:`log_gamma`.  No logarithm
-    enters, so the two paths agree exactly.  Below the floor x*x is no
-    longer a normal double and psi'(x) ~ 1/x^2 overflows, so a smaller
-    positive x raises DomainError on both paths."""
-    if isinstance(x, np.ndarray):
-        require_square_floor(x, "trigamma")
-        x, acc, z = _shift_up(x, "trigamma", _SHIFT_PSI, lambda v: 1.0 / (v * v))
-    else:
-        require_positive(x, "trigamma x")
-        require_square_floor(x, "trigamma")
-        acc = 0.0
-        while x < _SHIFT_PSI:
-            acc += 1.0 / (x * x)
-            x += 1.0
-        z = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_TRIGAMMA_TAIL):
-        tail = tail * z + c
-    return acc + 1.0 / x + 0.5 * z + tail * z / x
+    """psi'(x) for x >= 2**-511 (about 1.49e-154), a float or a float
+    ndarray as for :func:`log_gamma`; DomainError below."""
+    x, total, z, tail = _recurrence(x, _TRIGAMMA)
+    return total + 1.0 / x + 0.5 * z + tail * z / x
 
 
 def half_shift_gamma(x):
@@ -334,14 +325,14 @@ def half_shift_gamma(x):
         x[low] += _SHIFT_HALF
     u = 1.0 / x
     w = u * u
-    tail = _HALF_SHIFT_COEFFS[-1] * np.ones_like(w)
-    for c in _HALF_SHIFT_COEFFS[-2::-1]:
-        tail *= w
-        tail += c
+    tail = _horner(_HALF_SHIFT_COEFFS, w)
     L = (0.5 * np.log(x) + u * tail[0]) - steps[0]
     D = (0.5 * u + w * tail[1]) + steps[1]
     T = (0.5 * w + w * u * tail[2]) + steps[2]
     return L, D, T
+
+
+_DILOG = tuple(1.0 / (k * k) for k in range(1, 21))  # Li2(a) / a, 20 terms
 
 
 def _dilog_small(a: np.ndarray) -> np.ndarray:
@@ -351,11 +342,7 @@ def _dilog_small(a: np.ndarray) -> np.ndarray:
     a^21 / (441 (1 - a)) < 2^-62 a <= 2^-62 Li2(a).  Outside the range the
     sum is silently truncated, so keeping to it is the caller's part.
     """
-    acc = np.zeros_like(a)
-    for k in range(20, 0, -1):
-        acc *= a
-        acc += 1.0 / (k * k)
-    return acc * a
+    return _horner(_DILOG, a) * a
 
 
 def pochhammer(a: float, n: int) -> float:

@@ -185,11 +185,12 @@ def _radial_moments(n: int, beta: float,
 def _spherical_design(n: int) -> np.ndarray:
     """The spherical n-design as a linear map from the n+1 radial moments
     to zeta_n: zeta_n = sum_k m_k C[k], with
-    C[k] = (sum_theta w_theta R^(x)n D_k R^(x)n^T) * phase / (n+1), where
-    D_k keeps the basis states with k "+" factors and phase, entrywise,
-    sums the P^(x)n conjugation phases over the n+1 equispaced phi.  C
-    does not depend on beta, so each n is built on its first request, in
-    one pass over the theta nodes, and shared read-only after it."""
+    C[k] = (sum_theta w_theta R^(x)n D_k R^(x)n^T) * [w(i) = w(j)], where
+    D_k keeps the basis states with k "+" factors, w(i) counts the "-"
+    factors of basis state i, and the mask is the exact average over phi
+    of the P^(x)n conjugation phase e^(i phi (w(i) - w(j))).  C is real and does not depend on beta, so each n is built on its
+    first request, in one pass over the theta nodes, and shared read-only
+    after it."""
     minus_count = np.array([bin(i).count("1") for i in range(2 ** n)])
     cos_theta, w_theta = _gauss_legendre(n // 2 + 1)
     real = np.zeros((n + 1, 2 ** n, 2 ** n))
@@ -200,12 +201,9 @@ def _spherical_design(n: int) -> np.ndarray:
         for k in range(n + 1):
             cols = rot_n[:, minus_count == n - k]
             real[k] += w * (cols @ cols.T)
-    phi = 2.0 * math.pi * np.arange(n + 1) / (n + 1)
-    phase = np.exp(1j * np.multiply.outer(phi, minus_count))  # P^(x)n diagonals
-    design = real * (phase.T @ phase.conj())
-    design /= n + 1
-    design.flags.writeable = False
-    return design
+    real *= minus_count[:, None] == minus_count
+    real.flags.writeable = False
+    return real
 
 
 def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
@@ -218,14 +216,17 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     V^(x)n diag(m_k(i)) V^(x)n^dagger, with m_k the ``_radial_moments`` and
     k(i) the number of "+" factors of basis state i.  That is a polynomial
     of degree <= n in u, integrated exactly by a spherical n-design:
-    Gauss-Legendre in cos(theta) with floor(n/2)+1 nodes times n+1
-    equispaced phi.  Since V = P R(theta) P^dagger with P = diag(1, e^(i phi))
-    and P^(x)n diagonal, each theta node is one real conjugation by R^(x)n
-    and the phi nodes are entrywise phases.  zeta_n is therefore linear in
-    the moments, zeta_n = sum_k m_k C_(n,k), and the design C_(n,k)
-    depends on n alone: it is built once per n (``_spherical_design``) and
-    each call only contracts the n+1 moments with it.  Only the moments
-    are numerical: radial Gauss-Legendre levels 48, 96, 192, 384 until two
+    Gauss-Legendre in cos(theta) with floor(n/2)+1 nodes, and phi
+    averaged in closed form.  Since V = P R(theta) P^dagger with
+    P = diag(1, e^(i phi)) and P^(x)n diagonal, each theta node is one
+    real conjugation by R^(x)n, and phi enters only through the entrywise
+    phase e^(i phi (w(i) - w(j))), w(i) the number of "-" factors; its
+    average over phi is 1 where w(i) = w(j) and 0 elsewhere, because
+    |w(i) - w(j)| <= n.  zeta_n is therefore linear in the moments,
+    zeta_n = sum_k m_k C_(n,k), and the real design C_(n,k) depends on n
+    alone: it is built once per n (``_spherical_design``) and each call
+    only contracts the n+1 moments with it.  Only the moments are
+    numerical: radial Gauss-Legendre levels 48, 96, 192, 384 until two
     agree to 1e-9; the direction weights are positive and sum to 1, so
     (Weyl) the eigenvalues then agree to 1e-9 too.
 
@@ -240,15 +241,14 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     Cost (one core, beta in [0.3, 5]): the first call for each n also
     builds the Gauss-Legendre rules it needs (``_gauss_legendre``; the
     radial levels stop at 96 nodes for every n here and beta from 1e-10
-    to 100) and the design, and takes 8-9 ms for n = 3 and 50-60 ms for
-    n = 8, where building the design (256 x 256 conjugations and
-    products) takes 32-48 ms.  Later calls pay for one pdf evaluation on
-    the 144 (or 288) joined radial nodes and one (n+1)-term contraction:
-    about 0.11-0.18 ms for n = 3 and 1.1-1.3 ms for n = 8.  The design is
-    stored complex, (n+1) 4^n entries: 4 KB for n = 3, 9.4 MB for n = 8
-    and 12.1 MB for all n <= 8 (stored as real parts plus one phase
-    matrix it would be 5.8 MB at n = 8, but the contraction would round
-    differently).
+    to 100) and the design, and takes 7-8 ms for n = 3 and 36-44 ms for
+    n = 8, most of it building the design (256 x 256 conjugations and
+    products).  Later calls pay for one pdf evaluation on the 144 (or
+    288) joined radial nodes and one (n+1)-term real contraction: about
+    0.09 ms for n = 3 and 0.5 ms for n = 8.  The design is stored real,
+    (n+1) 4^n float64 entries, of which only the equal-weight blocks
+    (C(2n,n) of each 4^n, 20 % at n = 8) are non-zero: 2 KB for n = 3, 4.7 MB for n = 8
+    and 6.1 MB for all n <= 8.
     """
     if not (1 <= n <= _MAX_TENSOR_N and n == int(n)):
         raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
@@ -266,7 +266,7 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
         coarse, (moments,) = moments, _radial_moments(n, beta, (nodes,))
 
     zeta = (moments @ _spherical_design(n).reshape(n + 1, -1)).reshape(2 ** n, 2 ** n)
-    return 0.5 * (zeta + zeta.conj().T)
+    return (0.5 * (zeta + zeta.T)).astype(complex)
 
 
 def relative_entropy_numeric(rho: DensityMatrix2, n: int, beta: float) -> float:
@@ -282,10 +282,7 @@ def relative_entropy_numeric(rho: DensityMatrix2, n: int, beta: float) -> float:
     if np.any(lam <= 0):
         raise DomainError("averaged matrix is numerically singular")
     log_zeta = (vec * np.log(lam)) @ vec.conj().T
-    rho_m = rho.matrix()
-    kron = rho_m
-    for _ in range(int(n) - 1):
-        kron = np.kron(kron, rho_m)
+    kron = functools.reduce(np.kron, [rho.matrix()] * int(n))
     p, q = rho.eigenvalues
     s_rho = -sum(v * math.log(v) for v in (p, q) if v > 0)
     return float(-n * s_rho - np.trace(kron @ log_zeta).real)

@@ -127,3 +127,77 @@ def test_modal_pair_domain(E, model, curvature):
         assert abs(got - want) <= 1e-15 * abs(want)
     else:  # subnormal or below: the docstrings' absolute bound
         assert abs(got - want) <= 1e-323
+
+
+# the corners of the three recurrence domains: below, at and above the
+# floors 2**-1024 (digamma) and 2**-511 (trigamma), and on either side of
+# log_gamma's ceiling 2.5563e305
+KERNEL_CORNERS = [1e-320, 5.5e-309, 2.0**-511, 1.0, 2.5e305, 1e306]
+# function, its mpmath reference, the docstring's accuracy relative to
+# max(1, |value|), and its domain
+KERNELS = {
+    "log_gamma": (specfun.log_gamma, mp.loggamma, 1e-12,
+                  lambda x: x <= 2.5563481638716906e305),
+    "digamma": (specfun.digamma, mp.digamma, 1e-11, lambda x: x > 2.0**-1024),
+    "trigamma": (specfun.trigamma, lambda x: mp.polygamma(1, x), 1e-10,
+                 lambda x: x >= 2.0**-511),
+}
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("name", list(KERNELS))
+@pytest.mark.parametrize("x", KERNEL_CORNERS)
+def test_recurrence_domain_corners(x, name, as_array):
+    fn, reference, accuracy, inside = KERNELS[name]
+    arg = np.array([x]) if as_array else x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not inside(x):
+            with pytest.raises(DomainError, match=f"{name} requires"):
+                fn(arg)
+            return
+        got = fn(arg)
+    if as_array:
+        assert got.shape == (1,)
+        got = float(got[0])
+    assert math.isfinite(got)
+    with mp.workdps(40 + max(0, int(math.log10(x)))):
+        want = reference(mp.mpf(x))
+        assert abs(got - want) <= accuracy * max(1, abs(want))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("model", models.POWER_LAW_MODELS)
+@pytest.mark.parametrize("beta", KERNEL_CORNERS)
+def test_power_law_moments_at_the_recurrence_corners(beta, model, as_array):
+    # each moment is finite or raises DomainError, without a numpy warning;
+    # where Z ~ 1/beta or <E> ~ 1/beta overflows, and above log_gamma's
+    # ceiling, it raises (the finite values at large beta are not accurate:
+    # the log_gamma differences cancel there)
+    point = models.GibbsPoint(model, np.array([beta]) if as_array else beta)
+    must_raise = {models.partition: beta < 5.56e-309 or beta > 2.6e305,
+                  models.mean_energy: beta < 5.56e-309,
+                  models.var_energy: beta < 2.0**-511,
+                  models.mean_polarization: beta > 2.6e305}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, raises in must_raise.items():
+            if raises:
+                with pytest.raises(DomainError):
+                    fn(point)
+            else:
+                assert np.all(np.isfinite(fn(point))), fn.__name__
+
+
+@pytest.mark.parametrize("model,low,high", [
+    ("real", "1e-320", "1e-300"), ("complex", "1e305", "1e307")])
+def test_sweep_beyond_the_recurrence_domain_exits_3(model, low, high, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["sweep", "--model", model, "--beta-min", low,
+                         "--beta-max", high, "--points", "3"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+    assert "requires" in err or "overflows" in err

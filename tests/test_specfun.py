@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochgibbs import specfun
+from blochgibbs import models, specfun
 from blochgibbs.errors import ConvergenceError, DomainError
 from blochgibbs.specfun import (SeriesResult, digamma, half_shift_gamma,
                                 hyp_pfq_at_1, log_gamma, log_gamma_signed,
@@ -39,6 +41,40 @@ class TestBernoulliTable:
             for name, values in want.items():
                 got = [float(c) for c in getattr(specfun, name)]
                 assert got == [float(v) for v in values], name
+
+
+BITS = json.loads((Path(__file__).resolve().parent / "ref"
+                   / "specfun_bits.json").read_text())["pins"]
+
+
+def _pinned(name):
+    """fn of a float argument returning a tuple of floats, for each pin."""
+    if name.startswith("integrated_density"):
+        model = models.ModelKind(name.split()[1])
+        return lambda x: models.integrated_density(model, x)
+    return getattr(specfun, name)
+
+
+class TestGoldenBits:
+    """Every pinned value, bit for bit (float.hex), on the float path and as
+    an element of one 1-D array of all the pinned arguments; the pins cover
+    the shift thresholds 6, 10 and 12 to the ulp and the series switches."""
+
+    @pytest.mark.parametrize("name", sorted(BITS))
+    def test_pins(self, name):
+        args = np.array([float.fromhex(a) for a, _ in BITS[name]])
+        want = [tuple(v) for _, v in BITS[name]]
+        fn = _pinned(name)
+        got = fn(args)
+        columns = got if isinstance(got, tuple) else (got,)
+        assert [tuple(float(c[i]).hex() for c in columns)
+                for i in range(args.size)] == want
+        if name == "_dilog_small":  # array-only
+            return
+        for x, values in zip(args.tolist(), want):
+            got = fn(x)
+            assert tuple(v.hex() for v in (got if isinstance(got, tuple)
+                                           else (got,))) == values
 
 
 class TestLogGamma:

@@ -255,6 +255,20 @@ class TestSphericalDesign:
             design += 1.0
         assert np.array_equal(spectra._spherical_design(3), before)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_real_and_zero_off_the_weight_blocks(self, n):
+        # the phi average keeps exactly the entries whose basis states have
+        # equal numbers of "-" factors: C(2n, n) of each 4^n
+        design = spectra._spherical_design(n)
+        assert design.dtype == np.float64
+        minus = np.array([bin(i).count("1") for i in range(2 ** n)])
+        off = minus[:, None] != minus
+        assert not design[:, off].any()
+        assert np.count_nonzero(~off) == math.comb(2 * n, n)
+        zeta = zeta_matrix_oracle(n, 0.8)
+        assert zeta.dtype == np.complex128
+        assert np.array_equal(zeta, zeta.conj().T)
+
 
 class TestRelativeEntropy:
     @pytest.mark.parametrize("n", range(1, 9))
