@@ -62,12 +62,20 @@ def langevin(x: float) -> float:
 
 def langevin_partition(beta: float) -> float:
     """sinh(beta)/beta, the classical-dipole generating function; its log
-    derivative is the Langevin function."""
+    derivative is the Langevin function.  Domain: |beta| <= 717, where
+    the value is finite (from 710 on as e^(|beta|/2) (e^(|beta|/2) /
+    (2 |beta|)), sinh itself overflowing), else DomainError."""
     if beta == 0.0:
         return 1.0
     if abs(beta) < 1e-4:
         return 1.0 + beta * beta / 6.0
-    return math.sinh(beta) / beta
+    if abs(beta) < 710.0:
+        return math.sinh(beta) / beta
+    if not abs(beta) <= 717.0:
+        raise DomainError(f"langevin_partition overflows above |beta| = 717, "
+                          f"got {beta!r}")
+    half = math.exp(0.5 * abs(beta))
+    return half * (half / (2.0 * abs(beta)))
 
 
 def brosseau_polarization(tau: float) -> float:

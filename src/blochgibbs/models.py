@@ -4,25 +4,21 @@ Each family lives on the energy half-line E = -ln(1 - r^2) >= 0, where r
 is the Bloch-ball radial coordinate (degree of polarization).  The four
 power-law families share the structure function (1 - e^-E)^((m-1)/2) with
 dimension parameter m in {1, 2, 4, 0}; the fifth uses the logarithmic
-structure function 2 artanh sqrt(1 - e^-E).  The power-law gamma-function
-ratios go through differences of log_gamma, never through Gamma
-quotients.  The KMB ones all have arguments half a unit apart, so its Z,
-<E> and var E come from the one half-shift primitive
-``specfun.half_shift_gamma`` (L = ln Gamma(x+1/2) - ln Gamma(x), D = L',
-T = -L''), whose terms never cancel; the gamma ratio of its <r> is still
-a log_gamma difference (see ``_kmb_polarization``).
+structure function 2 artanh sqrt(1 - e^-E).  The power-law Z and <r>
+gamma ratios are log_gamma differences.  <E> and var E of all five
+families follow one rule, positive terms 1/(beta + a)^k plus 0 or 1
+times the half-shift D or T of ``specfun.half_shift_gamma`` (L =
+ln Gamma(x+1/2) - ln Gamma(x), D = L', T = -L''); so does the KMB Z,
+sqrt(pi) e^-L / beta, but not the gamma ratio of its <r>
+(``_kmb_polarization``).
 
 Array beta: ``partition``, ``mean_energy``, ``var_energy`` and
 ``mean_polarization`` also take a GibbsPoint whose beta is a 1-D float
-array and return one value per element (the KMB 3F2 series of a whole
-grid go to one batched ``hyp_pfq_at_1`` call).  Every element equals the
-scalar result bit for bit: for the power laws the arithmetic is the same,
-operation for operation, through the array paths of ``specfun`` with
-``math.exp`` and ``math.log`` applied per element; a float KMB beta runs
-the array code on one element.  The accuracy against mpmath is therefore
-the same on both paths.  The four calls on a 200-point grid over
-[0.1, 100] take about 2 ms for a power-law family and 1.7-2 ms for KMB,
-against 7-8 ms and 85 ms one beta at a time (2-core x86-64 VM).
+array, one value per element equal to the float result bit for bit (the
+power-law Z and <r> through the array paths of ``specfun`` with
+``math.exp`` and ``math.log`` per element, every other path by running
+the array code on one element for a float; the KMB 3F2 series of a grid
+go to one batched ``hyp_pfq_at_1`` call).
 Every other function here takes a float beta; ``integrated_density``
 also takes an array of E0.
 
@@ -41,8 +37,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, PoleProximityError
-from .specfun import (digamma, log_gamma, log_gamma_signed, per_element,
-                      trigamma)
+from .specfun import log_gamma, log_gamma_signed, per_element
 
 __all__ = [
     "ModelKind",
@@ -174,6 +169,7 @@ def _require_positive_beta(point: GibbsPoint):
     low = beta.min(initial=math.inf) if isinstance(beta, np.ndarray) else beta
     if low <= 0:
         raise DomainError(f"beta must be > 0, got {float(low)!r}")
+    return low
 
 
 def omega_complex(E):
@@ -185,10 +181,6 @@ def atanh_omega(E):
     """artanh(sqrt(1 - e^-E)) = ln(1 + sqrt(1 - e^-E)) + E/2, overflow-free."""
     E = np.asarray(E, dtype=float)
     return np.log1p(omega_complex(E)) + 0.5 * E
-
-
-def _as_float_or_array(x, scalar_in):
-    return float(x) if scalar_in else x
 
 
 def structure_function(model: ModelKind, E):
@@ -203,14 +195,11 @@ def structure_function(model: ModelKind, E):
     if np.any(E_arr < 0) or not np.all(np.isfinite(E_arr)):
         raise DomainError("structure_function requires finite E >= 0")
     if model is ModelKind.KMB:
-        return _as_float_or_array(2.0 * atanh_omega(E_arr), scalar)
-    expo = model.omega_exponent
-    if expo == 0:
-        out = np.ones_like(E_arr)
-    else:
+        out = 2.0 * atanh_omega(E_arr)
+    else:  # x**0 = 1 for the real family; the classical 0**-1 = inf
         with np.errstate(divide="ignore"):
-            out = omega_complex(E_arr) ** (2.0 * expo)
-    return _as_float_or_array(out, scalar)
+            out = omega_complex(E_arr) ** (2.0 * model.omega_exponent)
+    return float(out) if scalar else out
 
 
 def partition(point: GibbsPoint) -> float | np.ndarray:
@@ -221,12 +210,15 @@ def partition(point: GibbsPoint) -> float | np.ndarray:
     log_gamma's ceiling 2.5563e305.  Z ~ 1/beta overflows below about
     5.56e-309, where DomainError replaces it.  The KMB value is
     Z_classical / beta = sqrt(pi) e^(-L(beta)) / beta with the half-shift
-    L of ``specfun.half_shift_gamma``, for beta in [2**-511, 2**511] (see
-    ``_kmb_moment``).
+    L of ``specfun.half_shift_gamma``, for beta in [2**-511, 2**511]:
+    within 8e-15 of 40-digit mpmath on [1e-10, 1e20] and 8e-14 at 2**-511,
+    the absolute error of L, 4e-16 max(1, |L|).
     """
     _require_positive_beta(point)
     if point.model is ModelKind.KMB:
-        return _kmb_moment(point.beta, "partition", _kmb_partition)
+        _require_kmb_beta(point.beta, "partition")
+        return _one_row(point.beta, lambda b: _SQRT_PI * np.exp(
+            -specfun.half_shift_gamma(b)[0]) / b)
     h, beta = point.model.half_dof, point.beta
     try:
         return per_element(math.exp, log_gamma(h) + log_gamma(beta)
@@ -248,68 +240,71 @@ def pdf(point: GibbsPoint, E):
     z = partition(point)
     om = structure_function(point.model, E_arr)  # DomainError unless E >= 0
     out = np.exp(-point.beta * E_arr) * om / z
-    return _as_float_or_array(out, scalar)
+    return float(out) if scalar else out
 
 
 def mean_energy(point: GibbsPoint) -> float | np.ndarray:
-    """<E> = -d/dbeta ln Z; float or array beta > 0.  KMB: D(beta) + 1/beta
-    with the half-shift D, for beta in [2**-511, 2**511]."""
-    _require_positive_beta(point)
-    beta = point.beta
-    if point.model is ModelKind.KMB:
-        return _kmb_moment(beta, "mean_energy", _kmb_mean_energy)
-    return digamma(point.model.half_dof + beta) - digamma(beta)
+    """<E> = -d/dbeta ln Z (``_energy_moment``) for float or array beta >=
+    2**-511 (real: > 2**-1024; KMB: <= 2**511), else DomainError; within
+    2e-15 relative of 40-digit mpmath, 1e-323 absolute where subnormal."""
+    return _energy_moment(point, 1)
 
 
 def var_energy(point: GibbsPoint) -> float | np.ndarray:
-    """var(E) = d^2/dbeta^2 ln Z; strictly positive; float or array beta > 0.
-    KMB: T(beta) + 1/beta^2 with the half-shift T, for beta in
-    [2**-511, 2**511]."""
-    _require_positive_beta(point)
-    beta = point.beta
-    if point.model is ModelKind.KMB:
-        return _kmb_moment(beta, "var_energy", _kmb_var_energy)
-    return trigamma(beta) - trigamma(point.model.half_dof + beta)
+    """var(E) = d^2/dbeta^2 ln Z > 0 (``_energy_moment``); domain and
+    accuracy as ``mean_energy``, but 2**-511 <= beta for every family and
+    1e-323 absolute once var E ~ 1/beta^2 is subnormal (past 1.3e154)."""
+    return _energy_moment(point, 2)
 
 
-# KMB Z, <E> and var E are normal doubles for beta in [2**-511, 2**511]
-_KMB_BETA_MAX = 2.0**511
+def _energy_moment(point: GibbsPoint, k: int) -> float | np.ndarray:
+    """<E> (k = 1) or var E (k = 2) = [D or T] + sum_a (beta + a)^-k for
+    every family: psi(beta + h) - psi(beta), h = (m+1)/2 (KMB: 1/2, plus
+    1/beta), is 1/(beta + a) over a = h - 1, h - 2, ... >= 0, plus the
+    half-shift D for half-integer h: real {0}, classical D, complex {1/2}
+    + D, quaternionic {1/2, 3/2} + D, KMB {0} + D.  No term cancels.  A
+    float is one array element (40-65 us; 200 beta 0.1 ms): batch it."""
+    low = _require_positive_beta(point)
+    model, beta = point.model, point.beta
+    kmb = model is ModelKind.KMB
+    h = 0.5 if kmb else model.half_dof
+    n = math.floor(h)
+    half, poles = h != n, [h - n + j for j in range(n)] + [0.0] * kmb
+    name = "mean_energy" if k == 1 else "var_energy"
+    if kmb:
+        _require_kmb_beta(beta, name)
+    elif half or k == 2:
+        specfun.require_square_floor(beta, f"{model.value} {name}", "beta")
+    elif low <= 2.0**-1024:
+        raise DomainError("real mean_energy overflows below beta of about "
+                          f"5.56e-309, got {float(low)!r}")
+
+    def rule(b):
+        parts = [specfun.half_shift_gamma(b)[k]] if half else []
+        with np.errstate(over="ignore"):  # (b + a)^2 is inf above 1.3e154
+            for a in poles:
+                x = b + a if a else b
+                parts.append(1.0 / x if k == 1 else 1.0 / (x * x))
+        return sum(parts[1:], parts[0])
+    return _one_row(beta, rule)
 
 
-def _kmb_moment(beta, name, moment):
-    """One KMB moment of a float or array beta > 0 by ``moment``, a function
-    of a 1-D array; a float runs it on one element, so it equals the array
-    element bit for bit.
-
-    Domain: 2**-511 <= beta <= 2**511, else DomainError; outside it Z
-    ~ 1/beta^2 and var E ~ 2/beta^2 (small beta) or var E ~ 3/(2 beta^2)
-    (large beta) leave the normal doubles.  Against 40-digit mpmath over
-    [1e-10, 1e20]: <E> and var E within 1e-15 relative, Z within 8e-15;
-    Z carries the absolute error of L, 4e-16 max(1, |L|), which grows to
-    8e-14 at beta = 2**-511.  Cost: 200 beta take about 0.1 ms, a float
-    about 60 us (2-core x86-64 VM).
-    """
+def _require_kmb_beta(beta, name):
+    """DomainError unless every KMB beta lies in [2**-511, 2**511], where
+    Z, <E> and var E are normal doubles."""
     specfun.require_square_floor(beta, f"KMB {name}", "beta")
-    array = isinstance(beta, np.ndarray)
-    b = beta if array else np.array([beta])
-    if b.size and b.max() > _KMB_BETA_MAX:
+    high = beta.max(initial=0.0) if isinstance(beta, np.ndarray) else beta
+    if high > 2.0**511:
         raise DomainError(f"KMB {name} requires beta <= 2**511 (about "
-                          f"6.7e153), got {float(b.max())!r}")
-    out = moment(b)
-    return out if array else float(out[0])
+                          f"6.7e153), got {float(high)!r}")
 
 
-def _kmb_partition(beta: np.ndarray) -> np.ndarray:
-    L = specfun.half_shift_gamma(beta)[0]
-    return _SQRT_PI * np.exp(-L) / beta
-
-
-def _kmb_mean_energy(beta: np.ndarray) -> np.ndarray:
-    return specfun.half_shift_gamma(beta)[1] + 1.0 / beta
-
-
-def _kmb_var_energy(beta: np.ndarray) -> np.ndarray:
-    return specfun.half_shift_gamma(beta)[2] + 1.0 / (beta * beta)
+def _one_row(beta, fn):
+    """fn of a 1-D array beta, or of a float beta as a one-element array and
+    back to a float, so a float equals its array element bit for bit."""
+    if isinstance(beta, np.ndarray):
+        return fn(beta)
+    return float(fn(np.array([beta]))[0])
 
 
 def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
@@ -355,9 +350,7 @@ def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
 def _polarization(model: ModelKind, beta):
     """<r> for float or array beta > 0, before the cap at 1."""
     if model is ModelKind.KMB:
-        if isinstance(beta, np.ndarray):
-            return _kmb_polarization(beta)
-        return float(_kmb_polarization(np.array([beta]))[0])
+        return _one_row(beta, _kmb_polarization)
     m = model.m
     return per_element(math.exp, log_gamma(1.0 + m / 2.0)
                        + log_gamma(0.5 + beta + m / 2.0)
@@ -396,26 +389,21 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
 def mean_energy_series(beta: float) -> specfun.SeriesResult:
     """<E> for the complex family from its Pochhammer series
     sum_{n>=1} (3/2)_n / (n (3/2+beta)_n), accelerated like the 3F2 above
-    and summed to the absolute tolerance 1e-9; finite beta > 0, else
-    DomainError.
+    and summed to the absolute tolerance 1e-9.  Domain as the complex
+    ``mean_energy``: finite beta >= 2**-511, else DomainError.
     """
     specfun.require_positive(beta, "mean_energy_series beta")
-    tol = 1e-9
-    front = 1.5 / (1.5 + beta)
-    if beta >= 3.0:
-        res = specfun.hyp_pfq_at_1([1.0, 1.0, 2.5], [2.0, 2.5 + beta], tol / front)
-    else:
+    specfun.require_square_floor(beta, "mean_energy_series", "beta")
+    tol, front, pref = 1e-9, 1.5 / (1.5 + beta), 1.0
+    nums, dens = [1.0, 1.0, 2.5], [2.0, 2.5 + beta]
+    if beta < 3.0:
         pref = math.exp(log_gamma(2.0) + log_gamma(2.5 + beta) + log_gamma(beta)
                         - log_gamma(2.5) - 2.0 * log_gamma(1.0 + beta))
-        inner = specfun.hyp_pfq_at_1([-0.5, beta, beta],
-                                     [1.0 + beta, 1.0 + beta],
-                                     tol / (front * pref))
-        res = specfun.SeriesResult(value=pref * inner.value,
-                                   terms_used=inner.terms_used,
-                                   tail_bound=pref * inner.tail_bound)
-    return specfun.SeriesResult(value=front * res.value,
+        nums, dens = [-0.5, beta, beta], [1.0 + beta, 1.0 + beta]
+    res = specfun.hyp_pfq_at_1(nums, dens, tol / (front * pref))
+    return specfun.SeriesResult(value=front * (pref * res.value),
                                 terms_used=res.terms_used,
-                                tail_bound=front * res.tail_bound)
+                                tail_bound=front * (pref * res.tail_bound))
 
 
 def integrated_density(model: ModelKind, E0):
@@ -590,8 +578,10 @@ def approx_beta_small(meanE: float) -> float:
 
 
 def approx_beta_large(meanE: float) -> float:
-    """Large-beta closed form beta ~ 3/(2 <E>), complex family."""
+    """Large-beta closed form beta ~ 3/(2 <E>), complex family; finite
+    meanE >= 2**-511 (as the modal pair's E), else DomainError."""
     specfun.require_positive(meanE, "approx_beta_large meanE")
+    specfun.require_square_floor(meanE, "approx_beta_large", "meanE")
     return 1.5 / meanE
 
 
@@ -600,20 +590,28 @@ _MEAN_E_ASYMPT = (1.5, -0.375, 0.25, -9.0 / 64.0, 1.0 / 16.0)
 
 def mean_energy_asymptotic(beta: float, order: int) -> float:
     """Partial sum of the large-beta expansion of <E>, complex family:
-    3/(2 b) - 3/(8 b^2) + 1/(4 b^3) - 9/(64 b^4) + 1/(16 b^5).
-    """
+    3/(2 b) - 3/(8 b^2) + 1/(4 b^3) - 9/(64 b^4) + 1/(16 b^5), by Horner's
+    rule in 1/b.  Domain: finite beta >= 1 (below it the terms grow) and
+    order in 1..5, else DomainError."""
     specfun.require_positive(beta, "mean_energy_asymptotic beta")
-    if not 1 <= order <= 5:
-        raise DomainError("order must be in 1..5")
-    return sum(c / beta ** (k + 1) for k, c in enumerate(_MEAN_E_ASYMPT[:order]))
+    if beta < 1.0 or not 1 <= order <= 5:
+        raise DomainError(f"mean_energy_asymptotic requires beta >= 1 and "
+                          f"order in 1..5, got {beta!r}, {order!r}")
+    u = 1.0 / beta
+    return u * specfun._horner(_MEAN_E_ASYMPT[:order], u)
 
 
 def polarization_asymptotic(beta: float) -> float:
-    """Four-term large-beta expansion of <r>, complex family."""
+    """Four-term large-beta expansion of <r>, complex family, by Horner's
+    rule in u = 1/sqrt(beta): (2u - 5u^3/4 + 73u^5/64 - 575u^7/512) /
+    sqrt(pi).  Domain: finite beta >= 1, else DomainError."""
     specfun.require_positive(beta, "polarization_asymptotic beta")
-    rb = math.sqrt(beta)
-    return (2.0 / rb - 1.25 / rb**3 + (73.0 / 64.0) / rb**5
-            - (575.0 / 512.0) / rb**7) / _SQRT_PI
+    if beta < 1.0:
+        raise DomainError(f"polarization_asymptotic requires beta >= 1, "
+                          f"got {beta!r}")
+    u = 1.0 / math.sqrt(beta)
+    return u * specfun._horner((2.0, -1.25, 73.0 / 64.0, -575.0 / 512.0),
+                               u * u) / _SQRT_PI
 
 
 def reflection_identity_residual(beta: float) -> float:
@@ -621,11 +619,12 @@ def reflection_identity_residual(beta: float) -> float:
     - tan(pi beta)| for the complex family.
 
     Gamma at negative arguments goes through the reflection formula with
-    sign tracking.  Points within 1e-3 of a half-integer or integer are
-    rejected (poles of either side).
-    """
+    sign tracking.  Domain: finite beta > 0 farther than 1e-3 from every
+    multiple of 1/2 (poles of either side; every beta >= 2**51 is one),
+    else DomainError (PoleProximityError near a pole)."""
     specfun.require_positive(beta, "reflection_identity_residual beta")
-    if abs(2.0 * beta - round(2.0 * beta)) < 2e-3:
+    half_frac = math.fmod(beta, 0.5)  # exact
+    if min(half_frac, 0.5 - half_frac) < 1e-3:
         raise PoleProximityError(
             f"beta = {beta!r} is within 1e-3 of a pole (half-integer grid)")
     pol = mean_polarization(GibbsPoint(ModelKind.COMPLEX, beta))

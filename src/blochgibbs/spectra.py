@@ -77,14 +77,21 @@ def _lambda_nd(n: int, beta: float) -> list[float]:
     """lambda_{n,d} for d = 0..floor(n/2), as log-domain gamma ratios (all
     arguments positive for beta > 0).  The four terms that do not depend
     on d are evaluated once per table; the sum keeps its left-to-right
-    order, so each lambda is the same double as term by term."""
+    order, so each lambda is the same double as term by term.  Where the
+    differences have lost every digit (beta ~ 1e300) exp can overflow, and
+    that is a DomainError."""
     head = -n * math.log(2.0) + log_gamma(1.5 + beta)
     g_half = log_gamma(1.5 + n / 2.0 + beta)
     g_one = log_gamma(1.0 + n / 2.0 + beta)
     g_beta = log_gamma(beta)
-    return [math.exp(head + log_gamma(1.0 + n - d + beta) + log_gamma(d + beta)
-                     - g_half - g_one - g_beta)
-            for d in range(n // 2 + 1)]
+    try:
+        return [math.exp(head + log_gamma(1.0 + n - d + beta)
+                         + log_gamma(d + beta) - g_half - g_one - g_beta)
+                for d in range(n // 2 + 1)]
+    except OverflowError:
+        raise DomainError(f"spectrum lambda overflows at beta = {beta!r}: "
+                          "its log-gamma differences have lost their "
+                          "digits") from None
 
 
 def _multiplicity(n: int, d: int) -> int:
@@ -107,7 +114,8 @@ def spectrum(n: int, beta: float) -> SpectrumTable:
     sum_d m_{n,d} lambda_{n,d} cannot be formed in floats.  The table also
     checks its own unit trace to 1e-10 and raises DomainError when that
     fails, as it does from beta ~ 1e5 up, where the log-gamma differences
-    in lambda_{n,d} lose their digits.
+    in lambda_{n,d} lose their digits (and DomainError where they
+    overflow, or pass log_gamma's ceiling 2.5563e305).
     """
     if n < 1 or n != int(n):
         raise DomainError("n must be a positive integer")
@@ -332,12 +340,6 @@ def solve_maximin_beta() -> float:
     if f(lo) * f(hi) >= 0:
         raise ConvergenceError("maximin equation does not bracket on [0.1, 2]")
     root = rootfind.brent(f, lo, hi, xtol=1e-15)
-    # polish: the function is smooth and monotone here
-    for _ in range(4):
-        if abs(f(root)) < 1e-12:
-            break
-        h = 1e-7
-        root -= f(root) * (2 * h) / (f(root + h) - f(root - h))
     if abs(f(root)) >= 1e-12:
         raise ConvergenceError(f"maximin residual {f(root)} >= 1e-12")
     return float(root)

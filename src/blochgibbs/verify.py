@@ -166,14 +166,11 @@ def _suite_models(seed: int) -> list[Check]:
     checks.append(_close("mean_energy_vs_quadrature_rel", worst_e, 0.0, 1e-8))
     checks.append(_close("polarization_vs_quadrature_rel", worst_r, 0.0, 1e-8))
 
-    ordered = True
-    for beta in np.logspace(-2, 2, 25):
-        points = [GibbsPoint(m, beta) for m in POWER_LAW_MODELS]
-        pols = [models.mean_polarization(p) for p in points]
-        eng = [models.mean_energy(p) for p in points]
-        var = [models.var_energy(p) for p in points]
-        for seq in (pols, eng, var):
-            ordered &= all(a > b for a, b in zip(seq, seq[1:]))
+    # one array per family and moment; rows m descending, columns beta
+    points = [GibbsPoint(m, np.logspace(-2, 2, 25)) for m in POWER_LAW_MODELS]
+    ordered = all(bool(np.all(np.diff([fn(p) for p in points], axis=0) < 0))
+                  for fn in (models.mean_polarization, models.mean_energy,
+                             models.var_energy))
     checks.append(_flag("dominance_ordering_quat_complex_real_classical",
                         ordered))
 
@@ -485,10 +482,7 @@ def _suite_duality(seed: int) -> list[Check]:
                         duality.dual_density(ModelKind.COMPLEX, 16.3, 100.0)
                         < 1e-300))
 
-    e0s = np.linspace(1.0, 30.0, 100)
-    pairs = [duality.prior_over_meanE(e) for e in e0s]
-    a1 = np.array([p[0] for p in pairs])
-    a2 = np.array([p[1] for p in pairs])
+    a1, a2 = duality.prior_over_meanE(np.linspace(1.0, 30.0, 100))
     corr = float(np.corrcoef(np.log(a1), np.log(a2))[0, 1])
     checks.append(_flag("prior_curves_monotone_decreasing",
                         bool(np.all(np.diff(a1) < 0) and np.all(np.diff(a2) < 0))))

@@ -204,8 +204,8 @@ class TestSweepCommand:
 
 
 REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
-# fig4 is pinned here: its KMB column is a closed form now, which moved
-# its last digits off the benchmark's copy in REF (see test below)
+# fig2 to fig5 are pinned here: their last digits moved off the
+# benchmark's copy in REF (see test below)
 TEST_REF = Path(__file__).resolve().parent / "ref"
 
 
@@ -217,8 +217,18 @@ class TestReferenceOutputs:
     # each column within its measured distance from that copy (the fig4
     # power laws and the KMB Z, <E> and var E moved towards mpmath: by up
     # to 4.9e-6 relative, 2.1e-16 absolute, at small E0, and by up to
-    # 9.2e-13 where log_gamma differences cancelled)
-    MOVED = {"fig4.csv": {"complex": 3e-11, "quaternionic": 5e-6,
+    # 9.2e-13 where log_gamma differences cancelled; the fig2 and fig3
+    # power-law <E> and var E by up to 1.7e-12 and 3.2e-12, the rounding
+    # of the psi and psi' differences they no longer take)
+    MOVED = {"fig2.csv": {"mean_energy_quaternionic": 4e-13,
+                          "mean_energy_complex": 1e-12,
+                          "mean_energy_real": 2e-12,
+                          "mean_energy_classical": 2e-12},
+             "fig3.csv": {"var_energy_quaternionic": 2e-12,
+                          "var_energy_complex": 2e-12,
+                          "var_energy_real": 3e-12,
+                          "var_energy_classical": 4e-12},
+             "fig4.csv": {"complex": 3e-11, "quaternionic": 5e-6,
                           "kmb": 2e-15},
              "fig5.csv": {"kmb": 2e-14, "gap": 2e-14},
              "sweep_kmb_400.csv": {"partition": 2e-13, "mean_energy": 1e-13,
@@ -292,6 +302,14 @@ class TestDualityCommand:
         code, out, err = run_cli(capsys, "duality", "--mean-e", "1e-9")
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: interval quadrature stalled")
+
+    @pytest.mark.parametrize("model", ["complex", "quat"])
+    def test_normaliser_far_from_one_is_numerical_failure(self, capsys,
+                                                          model):
+        code, out, err = run_cli(capsys, "duality", "--model", model,
+                                 "--mean-e", "1e-16")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: dual density normaliser")
 
     def test_tol_override(self, capsys):
         code, out, _ = run_cli(capsys, "duality", "--mean-e", "16.3",

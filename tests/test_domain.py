@@ -1,6 +1,7 @@
 """Argument domains: the one positive-scalar check and its callers, and
 the modal pair at the corners of its energy domain."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,7 @@ import pytest
 
 from blochgibbs import (cli, duality, magnetics, models, priors, quadrature,
                         spectra, specfun)
-from blochgibbs.errors import DomainError
+from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import ModelKind
 
 # caller -> (a call of one scalar argument, a float and an integer value
@@ -201,3 +202,45 @@ def test_sweep_beyond_the_recurrence_domain_exits_3(model, low, high, capsys):
     assert out == ""
     assert err.startswith("numerical failure: ")
     assert "requires" in err or "overflows" in err
+
+
+# every caller above (the CLI check aside) and langevin_partition at the
+# extreme positive doubles: a finite value or DomainError, or at tiny x
+# the QuadratureError that the quadrature entries document for a tol
+# below reach and run_duality_experiment for a normaliser that has
+# underflowed; never another exception, inf, NaN or a warning
+EXTREME_ARGS = [5e-324, 1e-300, 2.0**-511, 1e300, 1.7e308]
+EXTREME_CALLERS = {name: entry[0] for name, entry in CALLERS.items()
+                   if name != "cli"}
+EXTREME_CALLERS["langevin_partition"] = magnetics.langevin_partition
+
+
+def _numbers(value):
+    """Every float a result carries: its own, its array elements, and those
+    of its tuple items and dataclass fields."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _numbers(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (float, int, complex, np.ndarray, np.number)):
+        flat = np.ravel(value)
+        yield from flat.real.tolist() + flat.imag.tolist()
+
+
+@pytest.mark.parametrize("x", EXTREME_ARGS)
+@pytest.mark.parametrize("name", list(EXTREME_CALLERS))
+def test_callers_at_extreme_positive_arguments(name, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = EXTREME_CALLERS[name](x)
+        except DomainError:
+            return
+        except QuadratureError:
+            assert (name.startswith("integrate_") or
+                    name == "run_duality_experiment") and x < 1e-15
+            return
+    values = list(_numbers(got))
+    assert values and all(math.isfinite(v) for v in values), values

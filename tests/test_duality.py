@@ -8,7 +8,7 @@ from scipy import special as sps
 from blochgibbs.duality import (DualExperimentReport, dual_density,
                                 mean_beta_closed, prior_over_meanE,
                                 run_duality_experiment, var_beta_closed)
-from blochgibbs.errors import DomainError
+from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import GibbsPoint, ModelKind, mean_energy
 
 
@@ -86,6 +86,17 @@ class TestRoundTripExperiment:
         assert isinstance(rep, DualExperimentReport)
         assert abs(rep.roundtrip_meanE - 8.0) < abs(16.2805 - 16.3)
 
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
+                                       ModelKind.QUATERNIONIC])
+    @pytest.mark.parametrize("meanE", [1e-16, 1e-300])
+    def test_normaliser_far_from_one_is_a_quadrature_error(self, model,
+                                                           meanE):
+        # 1e-300: every density value underflows and the normaliser is 0;
+        # 1e-16: the partition functions' log_gamma differences have lost
+        # their digits and it is 1.5e-31 (complex) or 5.3e-59 (quaternionic)
+        with pytest.raises(QuadratureError, match="normaliser"):
+            run_duality_experiment(model, meanE)
+
     def test_roundtrip_is_mean_energy_of_mean_beta(self):
         rep = run_duality_experiment(ModelKind.COMPLEX, 12.0)
         want = mean_energy(GibbsPoint(ModelKind.COMPLEX, rep.mean_beta))
@@ -122,6 +133,37 @@ class TestClosedForms:
         for f in (mean_beta_closed, var_beta_closed, prior_over_meanE):
             with pytest.raises(DomainError):
                 f(0.0)
+
+
+class TestClosedFormArrays:
+    E0S = np.concatenate((np.linspace(1.0, 30.0, 100),
+                          [2.0**-511, 1e-100, 1e100, 1.5 * 2.0**511]))
+
+    @pytest.mark.parametrize("fn", [mean_beta_closed, var_beta_closed],
+                             ids=lambda f: f.__name__)
+    def test_array_equals_float_path(self, fn):
+        got = fn(self.E0S)
+        assert got.tolist() == [fn(e) for e in self.E0S.tolist()]
+        assert np.all(np.isfinite(got) & (got > 0))
+
+    def test_prior_pair_array_equals_float_path(self):
+        a, b = prior_over_meanE(self.E0S)
+        pairs = [prior_over_meanE(e) for e in self.E0S.tolist()]
+        assert a.tolist() == [p[0] for p in pairs]
+        assert b.tolist() == [p[1] for p in pairs]
+
+    @pytest.mark.parametrize("fn", [mean_beta_closed, var_beta_closed,
+                                    prior_over_meanE],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [2.0**-511 * (1 - 2.0**-53),
+                                     1.5 * 2.0**511 * (1 + 2.0**-52)])
+    def test_domain_edges(self, fn, bad):
+        with pytest.raises(DomainError, match="2\\*\\*-511"):
+            fn(bad)
+        with pytest.raises(DomainError, match="1-D array"):
+            fn(np.array([1.0, bad]))
+        with pytest.raises(DomainError, match="1-D array"):
+            fn(np.array([[1.0]]))
 
 
 class TestPriorOverMeanE:

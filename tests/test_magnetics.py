@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -28,6 +29,14 @@ class TestComparisonLaws:
 
     def test_langevin_partition(self):
         assert langevin_partition(1.0) == pytest.approx(math.sinh(1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [709.9, 710.0, 712.5, 717.0, -715.0])
+    def test_langevin_partition_up_to_its_overflow(self, beta):
+        # sinh overflows from 710.5; e^(|b|/2) (e^(|b|/2) / (2|b|)) does not
+        want = mp.sinh(mp.mpf(beta)) / beta
+        assert abs(langevin_partition(beta) / want - 1) <= 5e-16
+        with pytest.raises(DomainError, match="717"):
+            langevin_partition(math.copysign(717.0001, beta))
 
     def test_langevin_is_log_derivative_of_partition(self):
         h = 1e-6

@@ -28,6 +28,7 @@ from blochgibbs.specfun import hyp_pfq_at_1
 LN2 = math.log(2.0)
 ALL_MODELS = POWER_LAW_MODELS + (ModelKind.KMB,)
 BETA_GRID = (0.3, 1.0, 3.0, 10.0)
+SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def quad_moment(point, weight):
@@ -234,6 +235,62 @@ class TestMoments:
         for model in ALL_MODELS:
             for beta in BETA_GRID:
                 assert var_energy(GibbsPoint(model, beta)) > 0
+
+
+class TestEnergyMomentsReference:
+    """<E> and var E of all five families against the 40-digit mpmath
+    values in tests/ref/energy_moments_mpmath.json (regenerated by
+    energy_moments_mpmath.py there): 121 beta on [1e-10, 1e20] plus
+    2**-511, 1e100 and 1e300.  Within 2e-15 relative where the value is
+    a normal double, else within 1e-323 absolute; KMB above 2**511
+    raises DomainError."""
+
+    DOC = json.loads((Path(__file__).resolve().parent / "ref"
+                      / "energy_moments_mpmath.json").read_text())
+    BETAS = np.array(DOC["beta"])
+
+    def test_every_beta_is_stored(self):
+        assert len(self.BETAS) == 124
+        assert {2.0**-511, 1e-10, 1e20, 1e100, 1e300} <= set(self.DOC["beta"])
+
+    @pytest.mark.parametrize("op", (mean_energy, var_energy),
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
+    def test_float_and_array_match_mpmath(self, model, op):
+        want = self.DOC[model.value][op.__name__]
+        inside = np.array([w is not None for w in want])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op(GibbsPoint(model, self.BETAS[inside]))
+            floats = [op(GibbsPoint(model, b))
+                      for b in self.BETAS[inside].tolist()]
+            for b in self.BETAS[~inside].tolist():
+                with pytest.raises(DomainError, match="2\\*\\*511"):
+                    op(GibbsPoint(model, b))
+        assert all(type(f) is float for f in floats)
+        assert floats == got.tolist()  # bit for bit
+        with mp.workdps(40):
+            for g, w in zip(floats, [mp.mpf(w) for w in want if w]):
+                if w >= SMALLEST_NORMAL:
+                    assert abs(g - w) <= 2e-15 * w
+                else:
+                    assert abs(g - w) <= 1e-323
+
+    def test_one_rule_without_psi_differences(self):
+        from blochgibbs import models
+        assert "digamma" not in vars(models)
+        assert "trigamma" not in vars(models)
+
+    @pytest.mark.parametrize("model", POWER_LAW_MODELS, ids=lambda m: m.value)
+    def test_mean_energy_floor(self, model):
+        # the half-shift D of the even-m families starts at 2**-511; the
+        # real family's 1/beta is finite down to 2**-1024
+        below = 2.0**-511 * (1 - 2.0**-53)
+        if model is ModelKind.REAL:
+            assert mean_energy(GibbsPoint(model, below)) == 1.0 / below
+        else:
+            with pytest.raises(DomainError, match="2\\*\\*-511"):
+                mean_energy(GibbsPoint(model, below))
 
 
 class TestMeanPolarization:
@@ -761,6 +818,19 @@ class TestAsymptoticExpansions:
             mean_energy_asymptotic(1.0, 6)
         with pytest.raises(DomainError):
             polarization_asymptotic(-1.0)
+        # below beta = 1 the terms grow: the expansions say nothing there
+        with pytest.raises(DomainError, match="beta >= 1"):
+            mean_energy_asymptotic(0.999, 3)
+        with pytest.raises(DomainError, match="beta >= 1"):
+            polarization_asymptotic(0.999)
+
+    @pytest.mark.parametrize("beta", (1e300, 1.7e308))
+    def test_horner_sums_at_large_beta(self, beta):
+        # the leading terms, with no power of beta to overflow
+        assert mean_energy_asymptotic(beta, 5) == pytest.approx(
+            1.5 / beta, rel=1e-15, abs=0)
+        assert polarization_asymptotic(beta) == pytest.approx(
+            2.0 / math.sqrt(math.pi) / math.sqrt(beta), rel=1e-15, abs=0)
 
 
 class TestReflectionIdentity:
