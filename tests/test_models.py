@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
+from blochgibbs import models
 from blochgibbs.errors import DomainError, PoleProximityError
 from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                approx_beta_large, approx_beta_small,
@@ -436,8 +437,10 @@ class TestKmbPolarizationReference:
     times the 40-digit mpmath values of 3F2({1/2,1,2};{3/2,2+beta};1)
     stored in tests/ref/kmb_3f2_mpmath.json (regenerated by
     kmb_3f2_mpmath.py there; about 10 s, too slow to compute here).
-    Below beta = 2.65 <r> is the Thomae-mapped series itself; from 2.65
-    up it is the direct series times 2 e^L / (sqrt(pi) (1 + beta))."""
+    The factor is ``models._kmb_3f2`` (its series from 20 up, the
+    contiguous relation below); <r> takes it in log form below
+    beta = 2.65 and times the log_gamma-difference gamma ratio from 2.65
+    up.  The summator's own test of the direct rows stays here."""
 
     ROWS = json.loads((Path(__file__).resolve().parent / "ref"
                        / "kmb_3f2_mpmath.json").read_text())
@@ -475,7 +478,7 @@ class TestKmbPolarizationReference:
             assert e <= 1e-14 + 1e-15 * math.lgamma(2.0 + b)
 
     def test_direct_series_relative_error(self):
-        # the series behind the direct rows, as mean_polarization sums it
+        # the summator on the direct series of the same rows
         rows = [row for row in self.ROWS if row[0] >= 2.65]
         betas = np.array([row[0] for row in rows])
         got = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.0 + betas], 1e-13).value
@@ -484,6 +487,35 @@ class TestKmbPolarizationReference:
                    for g, (_, want) in zip(got.tolist(), rows)]
         assert max(err) <= 4e-15
         assert float(np.median(err)) <= 5e-16
+
+    def test_factor_relative_error(self):
+        betas = np.array([row[0] for row in self.ROWS])
+        got = models._kmb_3f2(betas)
+        with mp.workdps(40):
+            err = [float(abs(mp.mpf(g) / mp.mpf(want) - 1))
+                   for g, (_, want) in zip(got.tolist(), self.ROWS)]
+        assert max(err) <= 1e-15
+        assert float(np.median(err)) <= 2e-16
+
+    def test_log_form_rows_within_1e_15(self):
+        err = self._errors([row for row in self.ROWS if row[0] < 2.65])
+        assert max(err) <= 1e-15
+
+    def test_factor_obeys_its_relation_across_the_series_start(self):
+        # F(x) = 1/(2x) + (2x+3)/(2x+4) F(x+1) where F(x) comes from the
+        # relation and F(x+1) from the series, or both from the series
+        x = np.linspace(18.0, 21.0, 61)
+        f, f1 = models._kmb_3f2(x), models._kmb_3f2(x + 1.0)
+        rhs = 0.5 / x + (2.0 * x + 3.0) / (2.0 * x + 4.0) * f1
+        assert np.max(np.abs(f / rhs - 1.0)) <= 1e-15  # a few ulps
+
+    def test_float_equals_its_array_element(self):
+        betas = np.concatenate(([row[0] for row in self.ROWS],
+                                np.linspace(19.9, 20.1, 9),
+                                np.nextafter(2.65, [0.0, 5.0])))
+        got = mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+        for b, g in zip(betas.tolist(), got.tolist()):
+            assert mean_polarization(GibbsPoint(ModelKind.KMB, b)) == g
 
     @pytest.mark.parametrize("beta", [5e-324, 1e-310, 5.5e-309, 1e-300])
     def test_tiny_beta_is_one(self, beta):

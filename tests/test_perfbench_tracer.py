@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` wraps the library's public functions and reads
 ``SeriesResult.terms_used`` from every ``hyp_pfq_at_1`` call; its traces
-are written as JSON.  A batched call must therefore still report its work
-as one positive Python int, and the tracer's known call counts must hold.
+are written as JSON.  A traced sweep must therefore serialise, a batched
+call must still report its work as one positive Python int, and the
+tracer's known call counts must hold.
 """
 
 import contextlib
@@ -12,9 +13,10 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from blochgibbs import cli
+from blochgibbs import cli, specfun
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,7 +36,7 @@ def test_self_check_passes(tracer_module):
     assert tracer_module.self_check() == []
 
 
-def test_traced_kmb_sweep_is_json_serialisable(tracer_module):
+def test_traced_kmb_sweep_is_json_serialisable(tracer_module, kmb_3f2_rows):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -43,11 +45,18 @@ def test_traced_kmb_sweep_is_json_serialisable(tracer_module):
             code = cli.main(["sweep", "--model", "kmb", "--beta-min", "0.5",
                              "--beta-max", "50", "--points", "40"])
         snap = tracer.take()
+        # the 3F2 rows of the same grid through the summator, in one call
+        specfun.hyp_pfq_at_1(*kmb_3f2_rows(np.logspace(np.log10(0.5),
+                                                        np.log10(50), 40)),
+                             1e-13)
+        batch = tracer.take()
     finally:
         tracer.uninstall()
     assert code == 0
     json.dumps(snap)
-    terms = snap["work"]["specfun.hyp_pfq_at_1.terms"]
+    assert "specfun.hyp_pfq_at_1" not in snap["spans"]
+    json.dumps(batch)
+    terms = batch["work"]["specfun.hyp_pfq_at_1.terms"]
     assert type(terms) is int
     assert terms > 0
-    assert snap["spans"]["specfun.hyp_pfq_at_1"][0] == 1
+    assert batch["spans"]["specfun.hyp_pfq_at_1"][0] == 1

@@ -81,7 +81,7 @@ class TestOneCallScans:
 
 
 class TestSeriesWorkArrays:
-    def test_one_buffer_serves_every_block(self, monkeypatch):
+    def test_one_buffer_serves_every_block(self, monkeypatch, kmb_3f2_rows):
         buffers = []
         block_terms = specfun._block_terms
 
@@ -90,13 +90,12 @@ class TestSeriesWorkArrays:
             return block_terms(a, b, k, t0, buf)
 
         monkeypatch.setattr(specfun, "_block_terms", recording)
-        betas = np.logspace(-1, 2, 200)
-        models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+        specfun.hyp_pfq_at_1(*kmb_3f2_rows(np.logspace(-1, 2, 200)), 1e-13)
         assert len(buffers) > 4
         assert all(buf is buffers[0] for buf in buffers)
 
 
-def _kmb_row_terms(monkeypatch, betas):
+def _kmb_row_terms(monkeypatch, rows, betas):
     terms = []
     sum_rows = specfun._sum_rows
 
@@ -106,7 +105,7 @@ def _kmb_row_terms(monkeypatch, betas):
         return out
 
     monkeypatch.setattr(specfun, "_sum_rows", recording)
-    models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+    specfun.hyp_pfq_at_1(*rows(betas), 1e-13)
     assert len(terms) == len(betas)
     return terms
 
@@ -116,15 +115,31 @@ class TestSeriesTermCounts:
     terms; a rule that estimates the decay exponent instead runs most of
     them to 4,096 terms, and the excess-0.3 row to 32,768."""
 
-    def test_kmb_grid_rows_stop_at_the_first_block(self, monkeypatch):
-        terms = _kmb_row_terms(monkeypatch, np.logspace(-1, 1, 200))
+    def test_kmb_grid_rows_stop_at_the_first_block(self, monkeypatch,
+                                                   kmb_3f2_rows):
+        terms = _kmb_row_terms(monkeypatch, kmb_3f2_rows,
+                               np.logspace(-1, 1, 200))
         assert max(terms) <= 512
 
-    def test_kmb_large_beta_rows_stop_within_256(self, monkeypatch):
+    def test_kmb_large_beta_rows_stop_within_256(self, monkeypatch,
+                                                 kmb_3f2_rows):
         # from beta = 10 the direct series falls below half an ulp of its
         # sum within 128 or 256 terms
-        terms = _kmb_row_terms(monkeypatch, np.logspace(1, 3, 200))
+        terms = _kmb_row_terms(monkeypatch, kmb_3f2_rows,
+                               np.logspace(1, 3, 200))
         assert max(terms) <= 256
+
+    def test_kmb_polarization_calls_no_summator(self, monkeypatch):
+        # the KMB 3F2 factor is a fixed-length series and a contiguous
+        # relation, at every beta
+        def refuse(*args):
+            raise AssertionError("hyp_pfq_at_1 called")
+
+        monkeypatch.setattr(specfun, "hyp_pfq_at_1", refuse)
+        betas = np.concatenate(([0.0, 5e-324], np.logspace(-10, 11, 300)))
+        models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
+        for b in (1e-300, 0.5, 2.65, 5.0, 20.0, 50.0, 1e11):
+            models.mean_polarization(GibbsPoint(ModelKind.KMB, b))
 
     def test_slow_excess_row(self):
         res = specfun.hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.3], tol=1e-10)
