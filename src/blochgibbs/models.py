@@ -10,10 +10,10 @@ families follow one rule, positive terms 1/(beta + a)^k plus 0 or 1
 times the half-shift D or T of ``specfun.half_shift_gamma`` (L =
 ln Gamma(x+1/2) - ln Gamma(x), D = L', T = -L''); so does the KMB Z,
 sqrt(pi) e^-L / beta.  The KMB <r> is a gamma ratio times the 3F2 factor
-F, which a fixed-length series and its exact contiguous relation give
-without summing to the unit point (``_kmb_3f2``); below beta = 2.65 the
-ratio is the half-shift rise in log form, from 2.65 up still a
-log_gamma difference (``_kmb_polarization``).
+F; below beta = 2.65 the ratio is the half-shift rise in log form, from
+2.65 up still a log_gamma difference (``_kmb_polarization``).  F and the
+series of the complex <E> are each a fixed-length series and an exact
+relation (``_series_then_relation``), not the unit-argument summator.
 
 Array beta: ``partition``, ``mean_energy``, ``var_energy`` and
 ``mean_polarization`` also take a GibbsPoint whose beta is a 1-D float
@@ -69,13 +69,13 @@ _SQRT_PI = math.sqrt(math.pi)
 _LN2 = math.log(2.0)
 # KMB <r>: below this beta its log form, from it up the gamma-ratio form
 _KMB_LOG_FORM_BELOW = 2.65
-# KMB 3F2 factor: its series is summed from this x up, and below it reached
-# by this many steps of its contiguous relation
-_KMB_RELATION_STEPS = 20
-# n + 2 for n = 0..46 (the term ratios (n+2)/(x+n+2)) and 1/(2n+1) for
-# n = 0..47: the 48 series terms of the KMB 3F2 factor
-_KMB_SERIES_RISE = np.arange(2.0, 49.0)
-_KMB_SERIES_ODD = 1.0 / (2.0 * np.arange(48.0) + 1.0)
+# ``_series_then_relation``: its steps, and the rises r_j and weights w_n
+# of the 48 KMB 3F2 terms (2)_n / ((2n+1) (2+x)_n) and the K = 64
+# Pochhammer terms (3/2)_n / (n (3/2+x)_n), n = 1..K (w_0 = 0)
+_RELATION_STEPS = 20
+_KMB_3F2_SERIES = (np.arange(2.0, 49.0), 1 / (2 * np.arange(48.0) + 1))
+_POCHHAMMER_SERIES = (np.arange(1.5, 65.0),
+                      np.append(0.0, 1.0 / np.arange(1.0, 65.0)))
 # KMB <r> from here up would carry more than 2.5e-3 of log_gamma rounding
 _KMB_POLARIZATION_MAX = 1e11
 
@@ -316,36 +316,43 @@ def _one_row(beta, fn):
     return float(fn(np.array([beta]))[0])
 
 
-def _kmb_3f2(x: np.ndarray) -> np.ndarray:
-    """F(x) = 3F2({1/2,1,2};{3/2,2+x};1) = sum_n (2)_n / ((2n+1) (2+x)_n)
-    for a 1-D array x > 0, without a unit-argument summator.
-
-    From x = 20 up the first 48 terms of the series, whose terms fall like
-    n^-(x+1), leave less than 1e-17 of F.  Below it F(x + 20) from those
-    terms goes down 20 steps of the exact contiguous relation
-    F(x) = 1/(2x) + (2x+3)/(2x+4) F(x+1), which follows from
-    (2)_n/(2+x)_n - (2)_n/(3+x)_n = n (2)_n/(2+x)_(n+1) and Gauss's sum
-    2F1(2, 1; 3+x; 1) = (2+x)/x.  Every step adds positive terms and
-    shrinks the error it inherits, so F stays within 1e-15 relative of
-    40-digit mpmath (5.9e-16, median 6.1e-17, on the 66 rows of
-    tests/ref/kmb_3f2_mpmath.json).
-    """
-    low = x < _KMB_RELATION_STEPS
-    start = np.where(low, x + _KMB_RELATION_STEPS, x)
-    terms = np.empty((x.size, _KMB_SERIES_ODD.size))
+def _series_then_relation(x: np.ndarray, series, relation) -> np.ndarray:
+    """f(x) = sum_n w_n prod_{j<n} r_j/(x+r_j), (r, w) = ``series``, for a
+    1-D array x > 0: the series at x from x = 20 up; below it at x + 20,
+    taken down 20 backward steps of f's exact relation f(y) = a(y) +
+    b(y) f(y+1), (a, b) = ``relation(y)`` with a > 0 and 0 < b <= 1, each
+    adding a positive term and shrinking the error it inherits."""
+    rise, weights = series
+    low = x < _RELATION_STEPS
+    start = np.where(low, x + _RELATION_STEPS, x)
+    terms = np.empty((x.size, weights.size))
     terms[:, 0] = 1.0
-    ratios = _KMB_SERIES_RISE / np.add.outer(start, _KMB_SERIES_RISE)
-    np.multiply.accumulate(ratios, axis=1, out=terms[:, 1:])
-    terms *= _KMB_SERIES_ODD
+    np.multiply.accumulate(rise / np.add.outer(start, rise), axis=1,
+                           out=terms[:, 1:])
+    terms *= weights
     f = np.add.reduce(terms, axis=1)
     if low.any():
-        y = np.add.outer(np.arange(float(_KMB_RELATION_STEPS)), x[low])
-        inv, ratio = 0.5 / y, (y + 1.5) / (y + 2.0)
+        y = np.add.outer(np.arange(float(_RELATION_STEPS)), x[low])
+        add, times = relation(y)
         g = f[low]
-        for i in range(_KMB_RELATION_STEPS - 1, -1, -1):
-            g = inv[i] + ratio[i] * g
+        for i in range(_RELATION_STEPS - 1, -1, -1):
+            g = add[i] + times[i] * g
         f[low] = g
     return f
+
+
+def _kmb_3f2(x: np.ndarray) -> np.ndarray:
+    """F(x) = 3F2({1/2,1,2};{3/2,2+x};1) = sum_n (2)_n / ((2n+1) (2+x)_n)
+    for a 1-D array x > 0 (``_series_then_relation``): 48 terms from
+    x = 20 up, where the terms fall like n^-(x+1) and leave less than 1e-17
+    of F; below it 20 steps of the exact contiguous relation
+    F(x) = 1/(2x) + (2x+3)/(2x+4) F(x+1), from (2)_n/(2+x)_n -
+    (2)_n/(3+x)_n = n (2)_n/(2+x)_(n+1) and Gauss's 2F1(2, 1; 3+x; 1) =
+    (2+x)/x.  Within 1e-15 relative of 40-digit mpmath (5.9e-16, median
+    6.1e-17, on the 66 rows of tests/ref/kmb_3f2_mpmath.json).
+    """
+    return _series_then_relation(x, _KMB_3F2_SERIES, lambda y: (
+        0.5 / y, (y + 1.5) / (y + 2.0)))
 
 
 def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
@@ -429,23 +436,28 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
 
 
 def mean_energy_series(beta: float) -> specfun.SeriesResult:
-    """<E> for the complex family from its Pochhammer series
-    sum_{n>=1} (3/2)_n / (n (3/2+beta)_n), accelerated like the 3F2 above
-    and summed to the absolute tolerance 1e-9.  Domain as the complex
-    ``mean_energy``: finite beta >= 2**-511, else DomainError.
+    """<E> for the complex family from its Pochhammer series S(beta) =
+    sum_{n>=1} (3/2)_n / (n (3/2+beta)_n) (``_series_then_relation``):
+    K = 64 terms from beta = 20 up, below it B = 20 steps of the exact
+    relation S(x) = 3/(2x (x+3/2)) + S(x+1), from 1/(c)_n - 1/(c+1)_n =
+    n/(c)_(n+1) and Gauss's 2F1(3/2, 1; 5/2+x; 1) = (3/2+x)/x.
+    ``terms_used`` is K; ``tail_bound`` bounds the omitted terms, which the
+    steps carry unchanged: sum_{n>K} u_n/n <= u_(K+1) (x+K+3/2) /
+    ((K+1)(x-1)), u_n = (3/2)_n/(3/2+x)_n at the summed x, below 3e-19 of
+    the value.  Domain as the complex ``mean_energy``: finite
+    beta >= 2**-511, else DomainError.  Within 1e-15 relative of 40-digit
+    mpmath (tests/ref/energy_moments_mpmath.json); 20-100 us a call.
     """
     specfun.require_positive(beta, "mean_energy_series beta")
     specfun.require_square_floor(beta, "mean_energy_series", "beta")
-    tol, front, pref = 1e-9, 1.5 / (1.5 + beta), 1.0
-    nums, dens = [1.0, 1.0, 2.5], [2.0, 2.5 + beta]
-    if beta < 3.0:
-        pref = math.exp(log_gamma(2.0) + log_gamma(2.5 + beta) + log_gamma(beta)
-                        - log_gamma(2.5) - 2.0 * log_gamma(1.0 + beta))
-        nums, dens = [-0.5, beta, beta], [1.0 + beta, 1.0 + beta]
-    res = specfun.hyp_pfq_at_1(nums, dens, tol / (front * pref))
-    return specfun.SeriesResult(value=front * (pref * res.value),
-                                terms_used=res.terms_used,
-                                tail_bound=front * (pref * res.tail_bound))
+    value = _series_then_relation(np.array([beta]), _POCHHAMMER_SERIES,
+                                  lambda y: (1.5 / (y * (y + 1.5)),
+                                             np.ones_like(y)))[0]
+    x = beta + _RELATION_STEPS if beta < _RELATION_STEPS else beta
+    k = _POCHHAMMER_SERIES[0].size
+    u = math.prod((j + 0.5) / (x + j + 0.5) for j in range(1, k + 2))
+    return specfun.SeriesResult(float(value), k, u * (x + k + 1.5)
+                                / ((k + 1) * (x - 1.0)))
 
 
 def integrated_density(model: ModelKind, E0):

@@ -174,8 +174,7 @@ def _suite_models(seed: int) -> list[Check]:
     checks.append(_flag("dominance_ordering_quat_complex_real_classical",
                         ordered))
 
-    worst = 0.0
-    used = 0
+    worst, used = 0.0, 0
     for beta in (0.5, 1.0, 5.0):
         res = models.mean_energy_series(beta)
         exact = models.mean_energy(GibbsPoint(ModelKind.COMPLEX, beta))
@@ -349,13 +348,12 @@ def _suite_spectra(seed: int) -> list[Check]:
                         (t2.entries[0].multiplicity, t2.entries[1].multiplicity)
                         == (3, 1)))
 
-    worst = 0.0
-    mult_ok = True
+    worst, mult_ok = 0.0, True
     for n in range(1, 13):
         for beta in (0.3, 1.0, 3.0):
             table = spectra.spectrum(n, beta)
             worst = max(worst, abs(table.trace() - 1.0))
-        mult_ok &= sum(e.multiplicity for e in spectra.spectrum(n, 1.0).entries) == 2**n
+            mult_ok &= sum(e.multiplicity for e in table.entries) == 2**n
     checks.append(_close("spectrum_unit_trace_n_le_12", worst, 0.0, 1e-10))
     checks.append(_flag("spectrum_multiplicities_sum_2n", mult_ok))
 
@@ -364,14 +362,12 @@ def _suite_spectra(seed: int) -> list[Check]:
     checks.append(_close("spin_sum_n1", spectra.spin_sum_polarization(1, 0.7),
                          1.0, 1e-13))
 
-    ratios_ok = True
-    worst_ratio = 0.0
+    ratios_ok, worst_ratio = True, 0.0
     for beta in (0.5, 1.0, 2.0):
         exact = models.mean_polarization(GibbsPoint(ModelKind.COMPLEX, beta))
-        g100 = spectra.spin_sum_polarization(100, beta) - exact
-        g200 = spectra.spin_sum_polarization(200, beta) - exact
-        g400 = spectra.spin_sum_polarization(400, beta) - exact
-        for ratio in (g100 / g200, g200 / g400):
+        g = [spectra.spin_sum_polarization(n, beta) - exact
+             for n in (100, 200, 400)]
+        for ratio in (g[0] / g[1], g[1] / g[2]):
             ratios_ok &= abs(ratio - 2.0) <= 0.3
             worst_ratio = max(worst_ratio, abs(ratio - 2.0))
     checks.append(_flag("spin_sum_gap_halves_when_n_doubles", ratios_ok,
@@ -386,9 +382,8 @@ def _suite_spectra(seed: int) -> list[Check]:
         eig2 - np.array([0.1, 0.3, 0.3, 0.3])))), 0.0, 1e-6))
     z3 = spectra.zeta_matrix_oracle(3, 0.5)
     eig3 = np.sort(np.linalg.eigvalsh(z3))
-    tab3 = spectra.spectrum(3, 0.5)
-    ref3 = np.sort(np.concatenate(
-        [[e.lam] * e.multiplicity for e in tab3.entries]))
+    ref3 = np.sort(np.concatenate([[e.lam] * e.multiplicity
+                                   for e in spectra.spectrum(3, 0.5).entries]))
     checks.append(_close("zeta_oracle_n3_eigs_vs_closed_form",
                          float(np.max(np.abs(eig3 - ref3))), 0.0, 1e-6))
     checks.append(_close("zeta_oracle_n3_trace",

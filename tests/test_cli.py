@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blochgibbs
-from blochgibbs import cli, verify
+from blochgibbs import cli, spectra, verify
 from blochgibbs.figures import FIGURE_IDS, render_figure_csv
 from blochgibbs.models import (GibbsPoint, ModelKind, mean_energy,
                                mean_polarization, partition, var_energy)
@@ -219,7 +219,9 @@ class TestReferenceOutputs:
     # to 4.9e-6 relative, 2.1e-16 absolute, at small E0, and by up to
     # 9.2e-13 where log_gamma differences cancelled; the fig2 and fig3
     # power-law <E> and var E by up to 1.7e-12 and 3.2e-12, the rounding
-    # of the psi and psi' differences they no longer take)
+    # of the psi and psi' differences they no longer take; the n = 12
+    # spectrum by up to 6.8e-15, the rounding of the log-gamma sums it no
+    # longer takes: 6.8e-15 -> 1.4e-16 from 40-digit mpmath)
     MOVED = {"fig2.csv": {"mean_energy_quaternionic": 4e-13,
                           "mean_energy_complex": 1e-12,
                           "mean_energy_real": 2e-12,
@@ -233,7 +235,8 @@ class TestReferenceOutputs:
              "fig5.csv": {"kmb": 2e-14, "gap": 2e-14},
              "sweep_kmb_400.csv": {"partition": 2e-13, "mean_energy": 1e-13,
                                    "var_energy": 1e-12,
-                                   "mean_polarization": 2e-14}}
+                                   "mean_polarization": 2e-14},
+             "spectrum_n12_beta1.json": {"lambda": 1e-14}}
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_figure(self, fig_id):
@@ -246,6 +249,12 @@ class TestReferenceOutputs:
         # every other cell string-identical; a moved cell within its
         # relative tolerance, gap (kmb - complex) within it times |kmb|
         def cells(path):
+            if path.suffix == ".json":  # a header row, then one per entry
+                doc = json.loads(path.read_text())
+                entries = doc.pop("entries")
+                return [list(entries[0]) + list(doc)] + [
+                    [str(v) for v in (*e.values(), *doc.values())]
+                    for e in entries]
             return [line.split(",") for line in path.read_text().splitlines()]
 
         new, old = cells(TEST_REF / name), cells(REF / name)
@@ -342,9 +351,23 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
 
-    def test_unit_trace_violation_is_numerical_failure(self, capsys):
+    def test_large_beta_matches_mpmath(self, capsys):
+        # lambda by its ratio recurrence keeps its digits at any beta
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "2",
+                               "--beta", "1e5")
+        assert code == 0
+        row = next(r for r in json.loads(
+            (TEST_REF / "spectrum_mpmath.json").read_text())["rows"]
+            if r["n"] == 2 and r["beta"] == 1e5)
+        got = [e["lambda"] for e in json.loads(out)["entries"]]
+        assert got == pytest.approx([float(v) for v in row["lambda"]],
+                                    rel=5e-14, abs=0.0)
+
+    def test_unit_trace_violation_is_numerical_failure(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(spectra, "_lambda_nd", lambda *args: [0.3, 0.2])
         code, out, err = run_cli(capsys, "spectrum", "--n", "2",
-                                 "--beta", "1e5")
+                                 "--beta", "1")
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: unit-trace violation")
 

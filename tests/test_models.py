@@ -424,12 +424,25 @@ class TestArrayBeta:
 
 
 class TestMeanEnergySeries:
-    @pytest.mark.parametrize("beta", (0.5, 1.0, 5.0))
-    def test_matches_digamma_difference(self, beta):
-        res = mean_energy_series(beta)
-        want = mean_energy(GibbsPoint(ModelKind.COMPLEX, beta))
-        assert res.value == pytest.approx(want, abs=1e-8)
-        assert res.terms_used <= 10**4
+    """The Pochhammer series against the 40-digit complex <E> of
+    tests/ref/energy_moments_mpmath.json, at all of its 124 beta."""
+
+    DOC = TestEnergyMomentsReference.DOC
+
+    def test_matches_mpmath(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [mean_energy_series(b) for b in self.DOC["beta"]]
+        with mp.workdps(40):
+            for res, want in zip(results, self.DOC["complex"]["mean_energy"]):
+                assert abs(mp.mpf(res.value) / mp.mpf(want) - 1) <= 1e-15
+                assert 0.0 <= res.tail_bound <= 1e-18 * res.value
+
+    def test_terms_used_is_the_fixed_length(self):
+        k = models._POCHHAMMER_SERIES[0].size
+        assert k == 64
+        for beta in (2.0**-511, 0.5, 19.9, 20.0, 1e300):
+            assert mean_energy_series(beta).terms_used == k
 
 
 class TestKmbPolarizationReference:

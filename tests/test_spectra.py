@@ -1,16 +1,18 @@
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochgibbs
-from blochgibbs import spectra, specfun
+from blochgibbs import spectra
 from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import GibbsPoint, ModelKind, mean_energy, mean_polarization
 from blochgibbs.oracles import DensityMatrix2
@@ -20,6 +22,7 @@ from blochgibbs.spectra import (asymptotic_relent, relative_entropy_numeric,
                                 zeta_matrix_oracle)
 
 LN2 = math.log(2.0)
+SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 class TestSpectrum:
@@ -86,21 +89,34 @@ class TestSpectrum:
             with pytest.raises(DomainError, match=r"n <= 1028.*double range"):
                 fn(1029, 1.0)
 
-    @pytest.mark.parametrize("n,beta", [(n, beta) for n in (1, 2, 12, 400)
-                                        for beta in (1e-10, 0.3, 1.0, 1e3)])
-    def test_lambdas_equal_seven_term_sum(self, n, beta):
-        # each lambda_{n,d} is the same double as the term-by-term sum
-        lg = specfun.log_gamma
-        for e in spectrum(n, beta).entries:
-            d = e.d
-            log_lam = (-n * math.log(2.0)
-                       + lg(1.5 + beta)
-                       + lg(1.0 + n - d + beta)
-                       + lg(d + beta)
-                       - lg(1.5 + n / 2.0 + beta)
-                       - lg(1.0 + n / 2.0 + beta)
-                       - lg(beta))
-            assert e.lam == math.exp(log_lam)
+    REF = json.loads((Path(__file__).resolve().parent / "ref"
+                      / "spectrum_mpmath.json").read_text())["rows"]
+
+    @staticmethod
+    def _row_id(row):
+        return f"n{row['n']}-b{row['beta']:g}"
+
+    @pytest.mark.parametrize("row", REF, ids=_row_id)
+    def test_lambdas_match_mpmath(self, row):
+        # the closed form in mpmath (tests/ref/spectrum_mpmath.py), n up to
+        # 1028 and beta from 2**-511 to 1e300
+        table = spectrum(row["n"], row["beta"])
+        assert len(table.entries) == len(row["lambda"])
+        for e, want in zip(table.entries, map(float, row["lambda"])):
+            if want >= SMALLEST_NORMAL:
+                assert e.lam == pytest.approx(want, rel=5e-14, abs=0.0)
+            else:
+                assert abs(e.lam - want) <= 2e-321
+        assert abs(table.trace() - 1.0) <= 1e-14
+
+    # every seventh row: each n, and each beta at least once
+    @pytest.mark.parametrize("row", REF[::7], ids=_row_id)
+    def test_spin_sum_matches_mpmath(self, row):
+        n = row["n"]
+        with mp.workdps(30):
+            want = mp.fsum(mp.mpf(n - 2 * d) / n * spectra._multiplicity(n, d)
+                           * mp.mpf(lam) for d, lam in enumerate(row["lambda"]))
+        assert abs(spin_sum_polarization(n, row["beta"]) - float(want)) <= 2e-15
 
     def test_largest_n_is_where_multiplicities_leave_doubles(self):
         n = spectra._MAX_SPECTRUM_N

@@ -1,8 +1,8 @@
 """Timing-free guards on how the work is done: no quadrature behind the
 integrated densities, one f call per root scan, one pair of work arrays
-per unit-argument series call and the terms it spends, one level-batched
-quadrature engine, and oracles whose work arrays do not grow with the
-draw or point count."""
+per unit-argument series call and the terms it spends, no log-gamma
+behind the spectrum, one level-batched quadrature engine, and oracles
+whose work arrays do not grow with the draw or point count."""
 
 import tracemalloc
 from pathlib import Path
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blochgibbs import (duality, magnetics, models, oracles, priors,
-                        quadrature, rootfind, specfun, verify)
+                        quadrature, rootfind, specfun, spectra, verify)
 from blochgibbs.errors import BracketingError
 from blochgibbs.figures import render_figure_csv
 from blochgibbs.models import POWER_LAW_MODELS, GibbsPoint, ModelKind
@@ -130,8 +130,8 @@ class TestSeriesTermCounts:
         assert max(terms) <= 256
 
     def test_kmb_polarization_calls_no_summator(self, monkeypatch):
-        # the KMB 3F2 factor is a fixed-length series and a contiguous
-        # relation, at every beta
+        # the KMB 3F2 factor and the Pochhammer series of the complex <E>
+        # are fixed-length series and a contiguous relation, at every beta
         def refuse(*args):
             raise AssertionError("hyp_pfq_at_1 called")
 
@@ -140,10 +140,26 @@ class TestSeriesTermCounts:
         models.mean_polarization(GibbsPoint(ModelKind.KMB, betas))
         for b in (1e-300, 0.5, 2.65, 5.0, 20.0, 50.0, 1e11):
             models.mean_polarization(GibbsPoint(ModelKind.KMB, b))
+        for b in (2.0**-511, 0.5, 20.0, 1e300):
+            models.mean_energy_series(b)
 
     def test_slow_excess_row(self):
         res = specfun.hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.3], tol=1e-10)
         assert res.terms_used <= 1024
+
+
+class TestNoLogGammaSpectrum:
+    def test_spectrum_calls_no_log_gamma(self, monkeypatch):
+        # lambda_{n,d} by its ratio recurrence, not by log-gamma differences
+        def refuse(*args):
+            raise AssertionError("log_gamma called")
+
+        monkeypatch.setattr(specfun, "log_gamma", refuse)
+        monkeypatch.setattr(spectra, "log_gamma", refuse)
+        for n in (1, 2, 13, 1028):
+            for b in (2.0**-511, 1.0, 1e5, 1e300):
+                spectra.spectrum(n, b)
+                spectra.spin_sum_polarization(n, b)
 
 
 def _recording(f, calls):
