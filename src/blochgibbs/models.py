@@ -217,19 +217,25 @@ def partition(point: GibbsPoint) -> float | np.ndarray:
     The single expression Gamma((m+1)/2) Gamma(beta) / Gamma((m+1)/2+beta)
     covers all four power-law families; float or array beta > 0 up to
     log_gamma's ceiling 2.5563e305.  Z ~ 1/beta overflows below about
-    5.56e-309, where DomainError replaces it.  The KMB value is
-    Z_classical / beta = sqrt(pi) e^(-L(beta)) / beta with the half-shift
-    L of ``specfun.half_shift_gamma``, for beta in [2**-511, 2**511]:
-    within 8e-15 of 40-digit mpmath on [1e-10, 1e20] and 8e-14 at 2**-511,
-    the absolute error of L, 4e-16 max(1, |L|).
+    5.56e-309, where DomainError replaces it.  For the real family it is
+    1/beta, correctly rounded (a float equals its array element bit for
+    bit), for every beta > 2**-1024, the largest double included.  The
+    KMB value is Z_classical / beta = sqrt(pi) e^(-L(beta)) / beta with
+    the half-shift L of ``specfun.half_shift_gamma``, for beta in
+    [2**-511, 2**511]: within 8e-15 of 40-digit mpmath on [1e-10, 1e20]
+    and 8e-14 at 2**-511, the absolute error of L, 4e-16 max(1, |L|).
     """
-    _require_positive_beta(point)
+    low = _require_positive_beta(point)
     if point.model is ModelKind.KMB:
         _require_kmb_beta(point.beta, "partition")
         return _one_row(point.beta, lambda b: _SQRT_PI * np.exp(
             -specfun.half_shift_gamma(b)[0]) / b)
     h, beta = point.model.half_dof, point.beta
     try:
+        if point.model is ModelKind.REAL:  # Gamma(beta) / Gamma(1 + beta)
+            if low <= 2.0**-1024:  # 1/beta is inf
+                raise OverflowError
+            return _one_row(beta, lambda b: 1.0 / b)
         return per_element(math.exp, log_gamma(h) + log_gamma(beta)
                            - log_gamma(h + beta))
     except OverflowError:

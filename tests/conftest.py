@@ -10,12 +10,12 @@ def rng():
 @pytest.fixture(scope="session")
 def kmb_3f2_rows():
     """(numerators, denominators) of the KMB <r>'s 3F2 factor on a beta
-    grid as unit-argument series, one row per beta, for one batched
-    ``hyp_pfq_at_1`` call: 3F2({1/2,1,2};{3/2,2+beta};1) from beta = 2.65
+    grid as unit-argument series, one row per beta, for a batched
+    ``hyp_pfq_at_1`` call or one call per row: 3F2({1/2,1,2};{3/2,2+beta};1) from beta = 2.65
     up and its Thomae image 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1)
     below.  The library reaches that factor by a contiguous relation;
-    these rows are a workload whose term counts and work arrays the
-    summator's tests pin."""
+    these rows are a workload whose term counts the summator's tests
+    pin."""
     def rows(beta):
         direct = beta >= 2.65
         nums = [np.where(direct, 0.5, -0.5), np.where(direct, 1.0, beta),

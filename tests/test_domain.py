@@ -3,6 +3,7 @@ the modal pair at the corners of its energy domain."""
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -174,9 +175,12 @@ def test_power_law_moments_at_the_recurrence_corners(beta, model, as_array):
     # each moment is finite or raises DomainError, without a numpy warning;
     # where Z ~ 1/beta or <E> ~ 1/beta overflows, and above log_gamma's
     # ceiling, it raises (the finite values at large beta are not accurate:
-    # the log_gamma differences cancel there)
+    # the log_gamma differences cancel there); the real Z is 1/beta, which
+    # has no ceiling
     point = models.GibbsPoint(model, np.array([beta]) if as_array else beta)
-    must_raise = {models.partition: beta < 5.56e-309 or beta > 2.6e305,
+    real = model is ModelKind.REAL
+    must_raise = {models.partition: beta < 5.56e-309
+                  or beta > 2.6e305 and not real,
                   models.mean_energy: beta < 5.56e-309,
                   models.var_energy: beta < 2.0**-511,
                   models.mean_polarization: beta > 2.6e305}
@@ -188,6 +192,39 @@ def test_power_law_moments_at_the_recurrence_corners(beta, model, as_array):
                     fn(point)
             else:
                 assert np.all(np.isfinite(fn(point))), fn.__name__
+    if real and beta > 5.56e-309:
+        assert np.all(models.partition(point) == 1.0 / beta)
+
+
+# the ends of the real family's Z domain beta > 2**-1024 and points between
+REAL_Z_BETAS = [math.nextafter(2.0**-1024, 1.0), 1e-300, 2.0**-511, 1e-10,
+                7.0, 1e10, 1e306, sys.float_info.max]
+
+
+@pytest.mark.parametrize("beta", REAL_Z_BETAS)
+def test_real_partition_is_one_over_beta(beta):
+    # Gamma(1) Gamma(beta) / Gamma(1 + beta) = 1/beta, correctly rounded,
+    # a float equal to its array element bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = models.partition(models.GibbsPoint(ModelKind.REAL, beta))
+        row = models.partition(models.GibbsPoint(ModelKind.REAL,
+                                                 np.array([beta, 2.0])))
+    assert type(z) is float
+    assert z.hex() == (1.0 / beta).hex() == row[0].hex()
+    with mp.workdps(40):
+        assert z == float(1 / mp.mpf(beta))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_real_partition_overflow_raises(as_array):
+    # 1/beta is inf from 2**-1024 down; below it the corners test covers
+    beta = 2.0**-1024
+    point = models.GibbsPoint(ModelKind.REAL,
+                              np.array([1.0, beta]) if as_array else beta)
+    with pytest.raises(DomainError,
+                       match="real partition overflows below beta of about"):
+        models.partition(point)
 
 
 @pytest.mark.parametrize("model,low,high", [

@@ -283,8 +283,18 @@ class TestPochhammer:
             pochhammer(300.0, 200)
 
     def test_bad_n(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
+        for n in (-1, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                pochhammer(1.0, n)
+
+    def test_huge_step_count_stops_at_its_zero(self):
+        # (-3)(-2)(-1)(0) = -0.0, and every later factor is positive; the
+        # product must end there, not after 10^12 steps
+        got = pochhammer(-3.0, 10**12)
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+        assert math.copysign(1.0, pochhammer(-3.0, 10)) == -1.0
+        with pytest.raises(OverflowError):
+            pochhammer(1.5, 10**12)
 
 
 class TestHypPfqAtUnit:
@@ -490,16 +500,6 @@ class TestHypPfqBatch:
             assert batch.value[i] == hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, b],
                                                   1e-10).value
 
-    def test_row_slices_give_the_same_sums(self, monkeypatch):
-        # a block cap far below rows x block length forces one slice of
-        # rows per work array; the arithmetic per row must not change
-        rows = _batch_rows()
-        whole = _batch_call(rows)
-        monkeypatch.setattr(specfun, "_BLOCK_ELEMENTS", 1024)
-        sliced = _batch_call(rows)
-        np.testing.assert_array_equal(whole.value, sliced.value)
-        assert whole.terms_used == sliced.terms_used
-
     def test_bad_rows_rejected(self):
         b2 = np.array([3.0, 4.0])
         with pytest.raises(DomainError):
@@ -514,3 +514,35 @@ class TestHypPfqBatch:
         with pytest.raises(ConvergenceError):
             # second row: excess 1.5 - 1.5 = 0
             hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, 1.5])], 1e-10)
+
+
+# [numerators, denominators, tol, value, tail_bound, terms_used], floats as
+# float.hex (tests/ref/pfq_rows.py): the summator's numbers, pinned
+PFQ_ROWS = [[[float.fromhex(x) for x in row[0]],
+             [float.fromhex(x) for x in row[1]],
+             *map(float.fromhex, row[2:5]), row[5]]
+            for row in json.loads((Path(__file__).resolve().parent / "ref"
+                                   / "pfq_rows.json").read_text())]
+
+
+class TestPfqRowsPin:
+    """Every pinned row bit for bit: KMB direct and Thomae rows, seeded
+    random rows with 1 to 3 numerators, and the rows this suite sums."""
+
+    def test_one_row_calls(self):
+        for nums, dens, tol, value, bound, terms in PFQ_ROWS:
+            res = hyp_pfq_at_1(nums, dens, tol)
+            assert (res.value.hex(), res.tail_bound.hex(), res.terms_used) \
+                == (value.hex(), bound.hex(), terms), (nums, dens, tol)
+
+    def test_batched_calls(self):
+        shapes = sorted({(len(r[0]), len(r[1])) for r in PFQ_ROWS})
+        assert len(PFQ_ROWS) > 900 and len(shapes) == 3
+        for p, q in shapes:
+            rows = [r for r in PFQ_ROWS if (len(r[0]), len(r[1])) == (p, q)]
+            cols = np.array([[*r[0], *r[1], r[2]] for r in rows]).T
+            res = hyp_pfq_at_1(list(cols[:p]), list(cols[p:-1]), cols[-1])
+            for got, col in ((res.value, 3), (res.tail_bound, 4)):
+                assert [x.hex() for x in got.tolist()] \
+                    == [r[col].hex() for r in rows]
+            assert res.terms_used == sum(r[5] for r in rows)
