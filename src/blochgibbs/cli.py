@@ -106,8 +106,11 @@ def _cmd_sweep(args) -> int:
     Bounds must be finite with 0 < --beta-min < --beta-max; anything else
     is a usage error (exit 2) raised before a grid is built.  Each column
     equals one-beta-at-a-time evaluation bit for bit (see ``models``); a
-    200-point grid takes about 2.7 ms for a power-law family and 2.2 ms
-    for KMB, parsing and CSV output included (2-core x86-64 VM).
+    200-point grid on [0.05, 500] takes about 1.6-1.9 ms for the complex,
+    quaternionic and classical families, 1.1-1.2 ms for the real one and
+    1.3-1.4 ms for KMB, parsing and CSV output included; about 0.5 ms of
+    each is ``figures.write_csv`` formatting the 1,000 cells (one core of
+    a 2-core x86-64 VM).
     """
     model = _parse_model(args.model)
     if args.points < 2:

@@ -182,8 +182,9 @@ def _require_positive_beta(point: GibbsPoint):
 
 
 def omega_complex(E):
-    """sqrt(1 - e^-E), the complex-family structure function."""
-    return np.sqrt(-np.expm1(-np.asarray(E, dtype=float)))
+    """sqrt(1 - e^-E), the complex-family structure function; +0 at
+    E = -0.0 as at E = 0."""
+    return np.sqrt(0.0 - np.expm1(-np.asarray(E, dtype=float)))
 
 
 def atanh_omega(E):
@@ -197,17 +198,22 @@ def structure_function(model: ModelKind, E):
 
     Power-law families return (1 - e^-E)^((m-1)/2); the classical case
     diverges like E^(-1/2) at E = 0 (integrable) and returns inf there.
-    The KMB family returns 2 artanh sqrt(1 - e^-E).
+    The KMB family returns 2 artanh sqrt(1 - e^-E).  Domain: a float or an
+    array of any shape, empty included, of finite E >= 0 (-0.0 counts as
+    0); a NaN, an infinity or a negative entry raises DomainError.
     """
     E_arr = np.asarray(E, dtype=float)
     scalar = E_arr.ndim == 0
-    if np.any(E_arr < 0) or not np.all(np.isfinite(E_arr)):
+    # a NaN fails both tests
+    if not (E_arr.min(initial=0.0) >= 0.0 and E_arr.max(initial=0.0) < math.inf):
         raise DomainError("structure_function requires finite E >= 0")
     if model is ModelKind.KMB:
         out = 2.0 * atanh_omega(E_arr)
-    else:  # x**0 = 1 for the real family; the classical 0**-1 = inf
+    elif model is ModelKind.CLASSICAL:  # 0**-1 = inf at E = 0
         with np.errstate(divide="ignore"):
             out = omega_complex(E_arr) ** (2.0 * model.omega_exponent)
+    else:  # x**0 = 1 for the real family
+        out = omega_complex(E_arr) ** (2.0 * model.omega_exponent)
     return float(out) if scalar else out
 
 

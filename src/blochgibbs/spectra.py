@@ -5,7 +5,7 @@ complex family produces a 2^n x 2^n matrix whose eigenvalues lambda_{n,d}
 (d = 0..floor(n/2)) come in gamma-ratio closed form with integer
 multiplicities m_{n,d}.  This module carries the closed-form spectrum, the
 multiplicity-weighted spin sums, an independent quadrature oracle for the
-matrix itself (n <= 8; exact in angle through a spherical design, numerical
+matrix itself (n <= 10; exact in angle through a spherical design, numerical
 only in the radius), the relative entropy of rho^(x)n against the average,
 the truncated large-n asymptotics of that relative entropy, and the two
 nonlinear solves it gives rise to (stationary point and maximin).
@@ -135,8 +135,13 @@ def spin_sum_polarization(n: int, beta: float) -> float:
                      for e in spectrum(n, beta).entries)
 
 
-# The tensor oracle's domain (also relative_entropy_numeric's): 2^n <= 256.
-_MAX_TENSOR_N = 8
+# The tensor oracle's domain (also relative_entropy_numeric's): n <= 10,
+# where the weight-block design holds 12.4 MB, and beta in [1e-300, 1e4].
+# Below the floor 50/beta nears the double range (t_up is inf below
+# 2.8e-307); above the ceiling the relative error of models.partition,
+# which pdf divides by, passes 1e-11 (5e-11 at 3e4, 2e-7 at 1e8).
+_MAX_TENSOR_N = 10
+_ORACLE_BETA_MIN, _ORACLE_BETA_MAX = 1e-300, 1e4
 # Radial Gauss-Legendre levels; successive levels must agree to _DRIFT_TOL.
 _RADIAL_LEVELS = (48, 96, 192, 384)
 _DRIFT_TOL = 1e-9
@@ -147,11 +152,31 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], built on the first
     request for each size and shared read-only after it.  The rules do not
     depend on beta, and only the radial levels and the n // 2 + 1 angular
-    sizes (n <= 8) are ever requested, so the cache stays small."""
+    sizes (n <= 10) are ever requested, so the cache stays small."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@functools.cache
+def _radial_rule(levels: tuple[int, ...], split: bool):
+    """The radial Gauss-Legendre levels joined on one panel, or on two
+    split at t = 6: per node, level by level and within a level panel by
+    panel, the unit node x + 1, its weight, whether it lies in the panel
+    past t = 6 and that panel's left edge; and the (start, stop) span of
+    each level.  None of it depends on beta, so each layout is built on
+    its first request and shared read-only."""
+    panels = 2 if split else 1
+    rules = [_gauss_legendre(nodes) for nodes in levels]
+    unit = np.concatenate([np.tile(x + 1.0, panels) for x, _ in rules])
+    weight = np.concatenate([np.tile(w, panels) for _, w in rules])
+    tail = np.concatenate([np.arange(panels * nodes) >= nodes for nodes in levels])
+    edge = 6.0 * tail
+    for arr in (unit, weight, tail, edge):
+        arr.flags.writeable = False
+    ends = list(itertools.accumulate(panels * nodes for nodes in levels))
+    return unit, weight, tail, edge, tuple(zip([0] + ends[:-1], ends))
 
 
 def _radial_moments(n: int, beta: float,
@@ -159,51 +184,70 @@ def _radial_moments(n: int, beta: float,
     """m_k = <((1+r)/2)^k ((1-r)/2)^(n-k)>, k = 0..n, over the complex-family
     radius r = Omega(E), by Gauss-Legendre in t = sqrt(E) on
     [0, sqrt(50/beta)], one array of moments per rule size in ``levels``.
-    All the levels share one ``pdf`` call on their joined nodes.  Past
-    t = 6, 1 - r < 1e-16, so a separate panel there keeps small beta (a
-    long flat tail) from starving the region where r varies."""
+    All the levels share one ``pdf`` call on their joined nodes
+    (``_radial_rule``).  Past t = 6, 1 - r < 1e-16, so a separate panel
+    there keeps small beta (a long flat tail) from starving the region
+    where r varies."""
     t_up = math.sqrt(50.0 / beta)
-    edges = (0.0, t_up) if t_up <= 6.0 else (0.0, 6.0, t_up)
-    half = np.diff(edges)[:, None] / 2.0
-    rules = [_gauss_legendre(nodes) for nodes in levels]
-    t = np.concatenate([(half * (x + 1.0) + np.array(edges[:-1])[:, None]).ravel()
-                        for x, _ in rules])
+    split = t_up > 6.0
+    unit, weight, tail, edge, spans = _radial_rule(levels, split)
+    # each panel's half-width, (stop - start) / 2
+    half = np.where(tail, (t_up - 6.0) / 2.0, 3.0) if split else t_up / 2.0
+    t = half * unit + edge
     E = t * t
     # pdf in t is pdf(E) dE/dt = pdf(E) 2t
-    w = (np.concatenate([(half * w).ravel() for _, w in rules])
-         * pdf(GibbsPoint(ModelKind.COMPLEX, beta), E) * 2.0 * t)
+    w = half * weight * pdf(GibbsPoint(ModelKind.COMPLEX, beta), E) * 2.0 * t
     r = omega_complex(E)
     up = 0.5 * (1.0 + r)
     down = 0.5 * np.exp(-E) / (1.0 + r)  # (1 - r)/2 without cancellation
-    k = np.arange(n + 1)
+    k = np.arange(n + 1.0)
     powers = up[:, None] ** k * down[:, None] ** (n - k)
-    ends = list(itertools.accumulate(half.size * nodes for nodes in levels))
-    return tuple(w[a:b] @ powers[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return tuple(w[a:b] @ powers[a:b] for a, b in spans)
 
 
 @functools.cache
-def _spherical_design(n: int) -> np.ndarray:
+def _spherical_design(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The spherical n-design as a linear map from the n+1 radial moments
     to zeta_n: zeta_n = sum_k m_k C[k], with
     C[k] = (sum_theta w_theta R^(x)n D_k R^(x)n^T) * [w(i) = w(j)], where
     D_k keeps the basis states with k "+" factors, w(i) counts the "-"
     factors of basis state i, and the mask is the exact average over phi
-    of the P^(x)n conjugation phase e^(i phi (w(i) - w(j))).  C is real and does not depend on beta, so each n is built on its
-    first request, in one pass over the theta nodes, and shared read-only
-    after it."""
+    of the P^(x)n conjugation phase e^(i phi (w(i) - w(j))).  Only the
+    equal-weight blocks w(i) = w(j) = a are kept, built block by block,
+    and of each block, which is symmetric, its upper triangle i <= j:
+    ``values[k]`` holds C[k] there, block a = 0..n after block, row by
+    row, then zeros; ``gather`` maps each entry (i, j) of the flattened
+    2^n x 2^n output to its column of ``values``: (i, j) and (j, i) to the
+    same one, and every entry off the blocks to the last, zero, column.
+    That is (C(2n, n) + 2^n) / 2 values of each 4^n.  C is real and does
+    not depend on beta, so each n is built on its first request, in one
+    pass over the theta nodes, and shared read-only after it."""
     minus_count = np.array([bin(i).count("1") for i in range(2 ** n)])
+    blocks = [np.flatnonzero(minus_count == a) for a in range(n + 1)]
+    # per block: its upper triangle (i, j) and its first column in values
+    upper = [np.triu_indices(rows.size) for rows in blocks]
+    starts = list(itertools.accumulate((i.size for i, _ in upper), initial=0))
+    # 1 to 4 zero columns, up to a multiple of 4: BLAS gemv kernels take
+    # the output entries four at a time and round a remainder differently,
+    # so with them every entry rounds as in a contraction over all 4^n
+    values = np.zeros((n + 1, (starts[-1] // 4 + 1) * 4))
+    gather = np.full(4 ** n, values.shape[1] - 1, dtype=np.int32)
+    for rows, (i, j), start in zip(blocks, upper, starts):
+        column = np.arange(start, start + i.size)
+        gather[rows[i] * 2 ** n + rows[j]] = gather[rows[j] * 2 ** n + rows[i]] = column
     cos_theta, w_theta = _gauss_legendre(n // 2 + 1)
-    real = np.zeros((n + 1, 2 ** n, 2 ** n))
     for ct, w in zip(cos_theta, 0.5 * w_theta):
         c, s = math.sqrt(0.5 * (1.0 + ct)), math.sqrt(0.5 * (1.0 - ct))
         rot = np.array([[c, -s], [s, c]])  # columns: +1, -1 eigenvectors
         rot_n = functools.reduce(np.kron, [rot] * n)  # R^(x)n
-        for k in range(n + 1):
-            cols = rot_n[:, minus_count == n - k]
-            real[k] += w * (cols @ cols.T)
-    real *= minus_count[:, None] == minus_count
-    real.flags.writeable = False
-    return real
+        for rows, triangle, start in zip(blocks, upper, starts):
+            for k in range(n + 1):
+                cols = rot_n[np.ix_(rows, blocks[n - k])]
+                values[k, start:start + triangle[0].size] += \
+                    w * (cols @ cols.T)[triangle]
+    values.flags.writeable = False
+    gather.flags.writeable = False
+    return values, gather
 
 
 def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
@@ -223,41 +267,54 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     phase e^(i phi (w(i) - w(j))), w(i) the number of "-" factors; its
     average over phi is 1 where w(i) = w(j) and 0 elsewhere, because
     |w(i) - w(j)| <= n.  zeta_n is therefore linear in the moments,
-    zeta_n = sum_k m_k C_(n,k), and the real design C_(n,k) depends on n
-    alone: it is built once per n (``_spherical_design``) and each call
-    only contracts the n+1 moments with it.  Only the moments are
-    numerical: radial Gauss-Legendre levels 48, 96, 192, 384 until two
-    agree to 1e-9; the direction weights are positive and sum to 1, so
-    (Weyl) the eigenvalues then agree to 1e-9 too.
+    zeta_n = sum_k m_k C_(n,k), real, and zero off the equal-weight
+    blocks; the design C_(n,k) on those blocks depends on n alone: it is
+    built once per n (``_spherical_design``), and each call contracts the
+    n+1 moments with it and gathers the output from the result.  Each
+    block of C_(n,k) is symmetric, so only its upper triangle is stored,
+    and (i, j) and (j, i) gather the same value: the output is exactly
+    Hermitian.  Only the moments are numerical: radial Gauss-Legendre
+    levels 48, 96, 192, 384 until two agree to 1e-9; the direction
+    weights are positive and sum to 1, so (Weyl) the eigenvalues then
+    agree to 1e-9 too.
 
-    Domain: integer n in 1..8, finite beta > 0; DomainError outside it,
-    QuadratureError if the radial levels do not settle.
+    Domain: integer n in 1..10 and finite 1e-300 <= beta <= 1e4;
+    DomainError outside it, QuadratureError if the radial levels do not
+    settle.  Below 1e-300 the radial range sqrt(50/beta) nears the double
+    range; above 1e4 the relative error of ``models.partition``, which
+    the radial weight divides by, passes 1e-11.
 
-    Accuracy: for n = 1..8 and 1e-10 <= beta <= 100 the eigenvalues match
-    the closed form (evaluated in mpmath) to 2e-14 absolute; for larger
-    beta the error follows the relative error of ``models.partition``
-    (1e-11 at beta = 1e4).  The output is exactly Hermitian.
+    Accuracy, against ``spectrum`` (itself within 5e-14 relative of
+    mpmath): the eigenvalues agree to 5e-14 absolute for n = 1..8 and
+    1e-300 <= beta <= 100, and to 1e-13 for n = 9 and 10 on 1e-10..100;
+    from 100 to 1e4 the error follows the relative error of
+    ``models.partition``, up to 1.3e-11 (n = 1) at 1e4.
 
-    Cost (one core, beta in [0.3, 5]): the first call for each n also
-    builds the Gauss-Legendre rules it needs (``_gauss_legendre``; the
-    radial levels stop at 96 nodes for every n here and beta from 1e-10
-    to 100) and the design, and takes 7-8 ms for n = 3 and 36-44 ms for
-    n = 8, most of it building the design (256 x 256 conjugations and
-    products).  Later calls pay for one pdf evaluation on the 144 (or
-    288) joined radial nodes and one (n+1)-term real contraction: about
-    0.09 ms for n = 3 and 0.5 ms for n = 8.  The design is stored real,
-    (n+1) 4^n float64 entries, of which only the equal-weight blocks
-    (C(2n,n) of each 4^n, 20 % at n = 8) are non-zero: 2 KB for n = 3, 4.7 MB for n = 8
-    and 6.1 MB for all n <= 8.
+    Cost (one core, beta in [0.5, 1.7]): the first call for each n also
+    builds the rules it needs (``_gauss_legendre`` and ``_radial_rule``;
+    the radial levels stop at 96 nodes for every n <= 10 and beta from
+    1e-10 to 100) and the design, and takes 7-12 ms for n = 3, 20-35 ms
+    for n = 8 and 0.23-0.31 s for n = 10, most of it building the design
+    from n = 8 up.  Later calls pay for one pdf evaluation on the 144 (or
+    288) joined radial nodes, one (n+1)-term real contraction and one
+    gather into the complex output: about 0.05-0.06 ms for n = 3, 0.3 ms
+    for n = 8 and 5-6 ms for n = 10, where the 16 MB output dominates.
+    The design holds (n+1) (C(2n, n) + 2^n) / 2 float64 values and a 4^n
+    int32 index: 0.8 KB for n = 3, 0.73 MB for n = 8 and 12.4 MB for
+    n = 10, where a dense (n+1) 4^n design would take 92 MB.
     """
     if not (1 <= n <= _MAX_TENSOR_N and n == int(n)):
         raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
     require_positive(beta, "zeta_matrix_oracle beta")
+    if not _ORACLE_BETA_MIN <= beta <= _ORACLE_BETA_MAX:
+        raise DomainError(
+            f"zeta_matrix_oracle beta = {beta!r} is outside its domain "
+            f"[{_ORACLE_BETA_MIN:g}, {_ORACLE_BETA_MAX:g}]")
     n = int(n)
     coarse, moments = _radial_moments(n, beta, _RADIAL_LEVELS[:2])
     finer_levels = iter(_RADIAL_LEVELS[2:])
     # "not <" so that a NaN drift counts as drifting
-    while not (drift := float(np.max(np.abs(moments - coarse)))) < _DRIFT_TOL:
+    while not (drift := float(np.abs(moments - coarse).max())) < _DRIFT_TOL:
         nodes = next(finer_levels, None)
         if nodes is None:
             raise QuadratureError(
@@ -265,17 +322,21 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
                 f"at {_RADIAL_LEVELS[-1]} nodes")
         coarse, (moments,) = moments, _radial_moments(n, beta, (nodes,))
 
-    zeta = (moments @ _spherical_design(n).reshape(n + 1, -1)).reshape(2 ** n, 2 ** n)
-    return (0.5 * (zeta + zeta.T)).astype(complex)
+    values, gather = _spherical_design(n)
+    return (moments @ values).astype(complex)[gather].reshape(2 ** n, 2 ** n)
 
 
 def relative_entropy_numeric(rho: DensityMatrix2, n: int, beta: float) -> float:
     """Relative entropy of rho^(x)n with respect to the averaged matrix:
     -n S(rho) - Tr(rho^(x)n log zeta_n), natural logs.
 
-    Domain as ``zeta_matrix_oracle`` (integer n in 1..8, beta > 0).  For
-    the maximally mixed rho it matches the closed form
-    -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d} to within 1e-14.
+    Domain as ``zeta_matrix_oracle`` (integer n in 1..10 and
+    1e-300 <= beta <= 1e4), whose DomainError it raises.  For the
+    maximally mixed rho it matches the closed form
+    -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d} to within 1e-14 for
+    n = 1..10 at beta = 1.  A call takes about 0.03 s at n = 8 and 1.4 s at
+    n = 10, mostly the eigendecomposition and the product with the dense
+    2^n x 2^n rho^(x)n.
     """
     zeta = zeta_matrix_oracle(n, beta)
     lam, vec = np.linalg.eigh(zeta)

@@ -100,6 +100,44 @@ class TestStructureFunction:
         with pytest.raises(DomainError):
             structure_function(ModelKind.COMPLEX, -0.5)
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -0.5, -5e-324))
+    def test_domain_in_every_shape(self, model, bad):
+        for E in (bad, np.array(bad), np.array([0.3, bad]),
+                  np.array([[0.3, 1.0], [bad, 2.0]])):
+            with pytest.raises(DomainError, match="finite E >= 0"):
+                structure_function(model, E)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_negative_zero_and_empty(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = structure_function(model, 0.0)
+            got = structure_function(model, -0.0)
+            assert got == at_zero and math.copysign(1.0, got) == 1.0
+            assert np.array_equal(structure_function(model, np.array([-0.0, 0.0])),
+                                  [at_zero, at_zero])
+            for shape in ((0,), (2, 0)):
+                empty = structure_function(model, np.zeros(shape))
+                assert empty.shape == shape and empty.dtype == np.float64
+        assert math.copysign(1.0, omega_complex(-0.0)) == 1.0
+
+    def test_classical_inf_at_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert structure_function(ModelKind.CLASSICAL, 0.0) == math.inf
+            got = structure_function(ModelKind.CLASSICAL, np.array([0.0, 1.0]))
+            assert got[0] == math.inf and math.isfinite(got[1])
+
+    @pytest.mark.parametrize("model", POWER_LAW_MODELS)
+    def test_power_law_values_are_omega_powers(self, model):
+        E = np.linspace(0.0, 700.0, 7001)
+        with np.errstate(divide="ignore"):
+            want = omega_complex(E) ** (2.0 * model.omega_exponent)
+        assert np.array_equal(structure_function(model, E), want)
+        for e, w in zip(E[::350].tolist(), want[::350].tolist()):
+            assert structure_function(model, e) == w
+
     def test_kmb_equals_2atanh_everywhere(self):
         # naive atanh is well-conditioned only while 1 - om^2 stays large;
         # past that the high-precision oracle takes over

@@ -188,9 +188,47 @@ class TestZetaOracle:
         assert np.max(np.abs(z - z.conj().T)) < 1e-15
 
     def test_domain(self):
-        for n in (0, 9):
+        for n in (0, 11):
             with pytest.raises(DomainError):
                 zeta_matrix_oracle(n, 1.0)
+
+    @pytest.mark.parametrize("beta,tol", ((1e-300, 1e-13), (1e4, 2e-11)))
+    def test_beta_domain_edges_match_closed_form(self, beta, tol):
+        for n in (1, 3):
+            eig = np.sort(np.linalg.eigvalsh(zeta_matrix_oracle(n, beta)))
+            want = np.sort(np.concatenate(
+                [[e.lam] * e.multiplicity for e in spectrum(n, beta).entries]))
+            assert np.max(np.abs(eig - want)) < tol
+
+    @pytest.mark.parametrize("beta", (2.0**-1022, 9.99e-301, 1.0001e4, 1e16, 1e100))
+    def test_beta_outside_domain_names_the_oracle(self, beta):
+        # below 1e-300 the radial range nears the double range; above 1e4
+        # the partition function's error would pass 1e-11
+        rho = DensityMatrix2(r=0.5, theta=0.3, phi=1.0)
+        for call in (lambda: zeta_matrix_oracle(3, beta),
+                     lambda: relative_entropy_numeric(rho, 2, beta)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert "zeta_matrix_oracle beta" in str(info.value)
+            assert repr(beta) in str(info.value)
+
+    @staticmethod
+    def _block_eigenvalues(zeta, n):
+        # zeta is zero off the equal-weight blocks, so its eigenvalues are
+        # those of the blocks
+        minus = np.array([bin(i).count("1") for i in range(2 ** n)])
+        return np.sort(np.concatenate([
+            np.linalg.eigvalsh(zeta[np.ix_(minus == a, minus == a)])
+            for a in range(n + 1)]))
+
+    @pytest.mark.parametrize("n", (9, 10))
+    def test_largest_n_matches_closed_form(self, n):
+        for beta in (1e-10, 0.3, 1.0, 5.0, 100.0):
+            zeta = zeta_matrix_oracle(n, beta)
+            want = np.sort(np.concatenate(
+                [[e.lam] * e.multiplicity for e in spectrum(n, beta).entries]))
+            assert np.max(np.abs(self._block_eigenvalues(zeta, n) - want)) <= 1e-13
+            assert np.array_equal(zeta, zeta.conj().T)
 
     def test_drift_gate_raises(self, monkeypatch):
         monkeypatch.setattr(spectra, "_DRIFT_TOL", 0.0)
@@ -226,6 +264,7 @@ class TestZetaOracle:
                                         for beta in (1e-10, 0.3, 1.0, 100.0)])
     def test_cold_and_warm_calls_bit_identical(self, n, beta):
         spectra._gauss_legendre.cache_clear()
+        spectra._radial_rule.cache_clear()
         spectra._spherical_design.cache_clear()
         cold = zeta_matrix_oracle(n, beta)
         assert np.array_equal(zeta_matrix_oracle(n, beta), cold)
@@ -252,50 +291,133 @@ class TestGaussLegendreRule:
         script = ("import blochgibbs.cli\n"
                   "from blochgibbs import spectra\n"
                   "print(spectra._gauss_legendre.cache_info().currsize)\n"
+                  "print(spectra._radial_rule.cache_info().currsize)\n"
                   "print(spectra._spherical_design.cache_info().currsize)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(blochgibbs.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n0\n"
+        assert proc.stdout == "0\n0\n0\n"
+
+
+class TestRadialRule:
+    def test_shared_arrays_are_read_only(self):
+        for split in (False, True):
+            rule = spectra._radial_rule((48, 96), split)
+            before = [arr.copy() for arr in rule[:4]]
+            for arr in rule[:4]:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+                with pytest.raises(ValueError):
+                    arr *= 2
+            for arr, want in zip(spectra._radial_rule((48, 96), split), before):
+                assert np.array_equal(arr, want)
+
+    @pytest.mark.parametrize("split", (False, True))
+    def test_layout(self, split):
+        # level by level, and within a level panel by panel
+        panels = 2 if split else 1
+        unit, weight, tail, edge, spans = spectra._radial_rule((48, 96), split)
+        assert spans == ((0, 48 * panels), (48 * panels, 144 * panels))
+        for nodes, (a, b) in zip((48, 96), spans):
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            assert np.array_equal(unit[a:b], np.tile(x + 1.0, panels))
+            assert np.array_equal(weight[a:b], np.tile(w, panels))
+            assert np.array_equal(tail[a:b], np.repeat(np.arange(panels), nodes) == 1)
+        assert np.array_equal(edge, np.where(tail, 6.0, 0.0))
 
 
 class TestSphericalDesign:
-    def test_shared_array_is_read_only(self):
-        design = spectra._spherical_design(3)
-        before = design.copy()
-        with pytest.raises(ValueError):
-            design[0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
-            design += 1.0
-        assert np.array_equal(spectra._spherical_design(3), before)
+    def test_shared_arrays_are_read_only(self):
+        values, gather = spectra._spherical_design(3)
+        before = values.copy(), gather.copy()
+        for arr in (values, gather):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            with pytest.raises(ValueError):
+                arr += 1
+        for arr, want in zip(spectra._spherical_design(3), before):
+            assert np.array_equal(arr, want)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_real_and_zero_off_the_weight_blocks(self, n):
         # the phi average keeps exactly the entries whose basis states have
-        # equal numbers of "-" factors: C(2n, n) of each 4^n
-        design = spectra._spherical_design(n)
-        assert design.dtype == np.float64
+        # equal numbers of "-" factors: C(2n, n) of each 4^n, stored as the
+        # upper triangle of each block, one value for (i, j) and (j, i)
+        values, gather = spectra._spherical_design(n)
+        size = (math.comb(2 * n, n) + 2 ** n) // 2
+        assert values.dtype == np.float64 and gather.dtype == np.int32
+        assert values.shape[1] - size in range(1, 5)
+        assert not values[:, size:].any()
         minus = np.array([bin(i).count("1") for i in range(2 ** n)])
-        off = minus[:, None] != minus
-        assert not design[:, off].any()
-        assert np.count_nonzero(~off) == math.comb(2 * n, n)
+        on = minus[:, None] == minus
+        assert np.count_nonzero(on) == math.comb(2 * n, n)
+        g = gather.reshape(2 ** n, 2 ** n)
+        assert np.array_equal(g, g.T)
+        assert np.all(g[~on] == values.shape[1] - 1)
+        assert np.array_equal(np.sort(g[np.triu(on)]), np.arange(size))
         zeta = zeta_matrix_oracle(n, 0.8)
         assert zeta.dtype == np.complex128
+        assert not zeta[~on].any()
         assert np.array_equal(zeta, zeta.conj().T)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_block_is_exactly_symmetric(self, n):
+        # the design written out as dense 2^n x 2^n matrices: each
+        # equal-weight block of every C_(n,k) equals its transpose bit for
+        # bit, so keeping one triangle loses nothing; for n <= 5 the stored
+        # triangles are those of the dense design bit for bit
+        minus = np.array([bin(i).count("1") for i in range(2 ** n)])
+        cos_theta, w_theta = np.polynomial.legendre.leggauss(n // 2 + 1)
+        dense = np.zeros((n + 1, 2 ** n, 2 ** n))
+        for ct, w in zip(cos_theta, 0.5 * w_theta):
+            c, s = math.sqrt(0.5 * (1.0 + ct)), math.sqrt(0.5 * (1.0 - ct))
+            rot_n = np.ones((1, 1))
+            for _ in range(n):
+                rot_n = np.kron(rot_n, np.array([[c, -s], [s, c]]))
+            for k in range(n + 1):
+                cols = rot_n[:, minus == n - k]
+                dense[k] += w * (cols @ cols.T)
+        dense *= minus[:, None] == minus
+        assert np.array_equal(dense, dense.transpose(0, 2, 1))
+        values, gather = spectra._spherical_design(n)
+        got, want = values[:, gather], dense.reshape(n + 1, -1)
+        if n <= 5:
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want)) <= 1e-16
+
+    def test_memory(self):
+        # (C(2n, n) + 2^n) / 2 values per moment and a 4^n int32 index
+        for n, limit in ((8, 1e6), (10, 17e6)):
+            values, gather = spectra._spherical_design(n)
+            assert values.nbytes + gather.nbytes <= limit
+
+
+class TestZetaOracleBitsPin:
+    PINS = json.loads((Path(__file__).resolve().parent / "ref"
+                       / "zeta_oracle_bits.json").read_text())["pins"]
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda p: f"n{p['n']}-b{p['beta']:g}")
+    def test_reproduces_pinned_bits(self, pin):
+        # tests/ref/zeta_oracle_bits.py: every entry as float.hex, n = 1..3
+        # on both radial panel layouts
+        zeta = zeta_matrix_oracle(pin["n"], pin["beta"])
+        assert [float(v).hex() for v in zeta.real.ravel()] == pin["real"]
+        assert [float(v).hex() for v in zeta.imag.ravel()] == pin["imag"]
 
 
 class TestRelativeEntropy:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_mixed_state_closed_form(self, n):
         # rho^(x)n = I / 2^n, so the relative entropy is
-        # -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d}
+        # -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d}; the docstring's
+        # bound (n = 10, not run here for its 1.4 s: 5.3e-15)
         mixed = DensityMatrix2(r=0.0, theta=0.0, phi=0.0)
         want = -n * LN2 - 2.0**-n * math.fsum(
             e.multiplicity * math.log(e.lam) for e in spectrum(n, 1.0).entries)
         got = relative_entropy_numeric(mixed, n, 1.0)
-        assert got == pytest.approx(want, abs=1e-8)
+        assert got == pytest.approx(want, abs=1e-14)
 
     def test_mixed_state_n2_quoted_value(self):
         want = -2 * LN2 - 0.25 * (3 * math.log(0.3) + math.log(0.1))
