@@ -87,6 +87,10 @@ def run_duality_experiment(model: ModelKind, meanE: float,
     to 1.0 wherever it converges, is not within a factor 2 of 1: 0 where
     every value underflows (<E> = 1e-300), 1.5e-31 where the partition
     functions' log_gamma differences have lost their digits (1e-16).
+    Also QuadratureError when the first moment int beta f dbeta, about
+    1/<E>, is at most 10 ``tol`` (absolute): from <E> ~ 4e8 up at the
+    default tol, where the round trip would be 26 times <E>; up to 3.16e8
+    it is within 3e-12 relative of <E>.
     """
     _check_dual_args(model, meanE)
     f = lambda b: dual_density(model, meanE, b)
@@ -98,6 +102,9 @@ def run_duality_experiment(model: ModelKind, meanE: float,
                               f"within a factor 2 of 1 at meanE = {meanE!r}")
     first = quadrature.integrate_interval(lambda b: b * f(b), 0.0, upper,
                                           tol=tol).value
+    if not first > 10.0 * tol:
+        raise QuadratureError(f"dual density first moment {first!r} is not "
+                              f"above 10 tol at meanE = {meanE!r}")
     mean_beta = first / norm
     rt = mean_energy(GibbsPoint(model, mean_beta))
     return DualExperimentReport(target_meanE=meanE, normalizer=norm,

@@ -96,6 +96,13 @@ def _multiplicity(n: int, d: int) -> int:
 _MAX_SPECTRUM_N = 1028
 
 
+def _require_n(n, what: str) -> int:
+    """n as an int, or DomainError unless it is a finite integer >= 1."""
+    if not (1 <= n < math.inf and n == int(n)):
+        raise DomainError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def spectrum(n: int, beta: float) -> SpectrumTable:
     """Eigenvalues and multiplicities of the averaged n-fold tensor product.
 
@@ -109,14 +116,12 @@ def spectrum(n: int, beta: float) -> SpectrumTable:
     it is a normal double and 2e-321 absolute where it is subnormal (at
     n = 1028 lambda nears 2^-1028), and the trace within 1e-14 of 1.
     """
-    if n < 1 or n != int(n):
-        raise DomainError("n must be a positive integer")
+    n = _require_n(n, "spectrum n")
     if n > _MAX_SPECTRUM_N:
         raise DomainError(
             f"spectrum is limited to n <= {_MAX_SPECTRUM_N}: beyond it the "
             f"multiplicities m_(n,d) exceed the double range")
     require_positive(beta, "spectrum beta")
-    n = int(n)
     mults = [_multiplicity(n, d) for d in range(n // 2 + 1)]
     entries = tuple(SpectrumEntry(d=d, lam=lam, multiplicity=m) for d, (lam, m)
                     in enumerate(zip(_lambda_nd(n, beta, mults), mults)))
@@ -303,14 +308,14 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     int32 index: 0.8 KB for n = 3, 0.73 MB for n = 8 and 12.4 MB for
     n = 10, where a dense (n+1) 4^n design would take 92 MB.
     """
-    if not (1 <= n <= _MAX_TENSOR_N and n == int(n)):
+    n = _require_n(n, "zeta_matrix_oracle n")
+    if n > _MAX_TENSOR_N:
         raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
     require_positive(beta, "zeta_matrix_oracle beta")
     if not _ORACLE_BETA_MIN <= beta <= _ORACLE_BETA_MAX:
         raise DomainError(
             f"zeta_matrix_oracle beta = {beta!r} is outside its domain "
             f"[{_ORACLE_BETA_MIN:g}, {_ORACLE_BETA_MAX:g}]")
-    n = int(n)
     coarse, moments = _radial_moments(n, beta, _RADIAL_LEVELS[:2])
     finer_levels = iter(_RADIAL_LEVELS[2:])
     # "not <" so that a NaN drift counts as drifting
@@ -353,11 +358,20 @@ def asymptotic_relent(beta: float, E: float, n: int) -> float:
     """Truncated large-n asymptotics of the relative entropy:
     (3/2) ln n - 1/2 - (3/2) ln 2 + beta E - artanh(Omega)/Omega
     + ln Gamma(beta) - ln Gamma(3/2 + beta).
+
+    Domain: finite beta > 0 up to log_gamma's ceiling (about 2.56e305),
+    finite E > 0 with beta E finite, and integer n >= 1; DomainError
+    outside it.  Against 50-digit mpmath the error is within 4e-15 of the
+    sum of the terms' magnitudes; relative to max(1, |value|), 5e-15 for
+    beta <= 1, 6e-14 to beta = 100, 3e-12 to 1e4 and 2e-6 to 1e10, as the
+    log_gamma difference cancels.  The formula itself approximates the
+    relative entropy to O(1/n).
     """
     require_positive(beta, "asymptotic_relent beta")
     require_positive(E, "asymptotic_relent E")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _require_n(n, "asymptotic_relent n")
+    if not beta * E < math.inf:
+        raise DomainError(f"asymptotic_relent beta E overflows: {beta!r}, {E!r}")
     om = float(omega_complex(E))
     return (1.5 * math.log(n) - 0.5 - 1.5 * math.log(2.0) + beta * E
             - float(atanh_omega(E)) / om

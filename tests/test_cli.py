@@ -14,6 +14,7 @@ from blochgibbs import cli, spectra, verify
 from blochgibbs.figures import FIGURE_IDS, render_figure_csv
 from blochgibbs.models import (GibbsPoint, ModelKind, mean_energy,
                                mean_polarization, partition, var_energy)
+from blochgibbs.verify import PAPER
 
 
 def run_cli(capsys, *argv):
@@ -51,10 +52,9 @@ class TestFigureCommand:
         assert header == ["beta", "quaternionic", "complex", "real",
                           "classical", "brosseau"]
         # sign changes of (model - brosseau) must bracket the quoted roots
-        quoted = {"quaternionic": 0.76007, "complex": 1.04585,
-                  "real": 1.46249, "classical": 3.1857}
         beta = rows[:, 0]
-        for col, root in quoted.items():
+        for col in ("quaternionic", "complex", "real", "classical"):
+            root = PAPER[f"brosseau_crossing_{col}"][0]
             diff = rows[:, header.index(col)] - rows[:, header.index("brosseau")]
             idx = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
             assert len(idx) == 1
@@ -64,7 +64,8 @@ class TestFigureCommand:
         header, rows = parse_csv(render_figure_csv("fig4"))
         e0 = rows[:, 0]
         kmb = rows[:, header.index("kmb")]
-        for col, root in (("classical", 1.57565), ("real", 0.53341)):
+        for col in ("classical", "real"):
+            root = PAPER[f"kmb_density_crossing_{col}"][0]
             diff = kmb - rows[:, header.index(col)]
             idx = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
             assert len(idx) == 1
@@ -292,9 +293,11 @@ class TestDualityCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == 1
-        assert doc["normalizer"] == pytest.approx(0.984296, abs=0.002)
-        assert doc["mean_beta"] == pytest.approx(0.0636579, abs=5e-4)
-        assert doc["roundtrip_meanE"] == pytest.approx(16.2805, abs=0.02)
+        for key, name in (("normalizer", "normalizer"),
+                          ("mean_beta", "mean_beta"),
+                          ("roundtrip_meanE", "roundtrip")):
+            want, tol = PAPER[f"dual_complex_{name}"]
+            assert doc[key] == pytest.approx(want, abs=tol)
 
     @pytest.mark.parametrize("argv", [
         ("--mean-e", "-4.0"), ("--mean-e", "nan"), ("--mean-e", "0"),
@@ -320,12 +323,22 @@ class TestDualityCommand:
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: dual density normaliser")
 
+    @pytest.mark.parametrize("model", ["complex", "quat"])
+    @pytest.mark.parametrize("mean_e", ["1e9", "1e10"])
+    def test_unresolved_first_moment_is_numerical_failure(self, capsys,
+                                                          model, mean_e):
+        code, out, err = run_cli(capsys, "duality", "--model", model,
+                                 "--mean-e", mean_e)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: dual density first moment")
+
     def test_tol_override(self, capsys):
         code, out, _ = run_cli(capsys, "duality", "--mean-e", "16.3",
                                "--tol", "1e-6")
         assert code == 0
         doc = json.loads(out)
-        assert doc["normalizer"] == pytest.approx(0.984296, abs=0.002)
+        want, tol = PAPER["dual_complex_normalizer"]
+        assert doc["normalizer"] == pytest.approx(want, abs=tol)
         code, _, _ = run_cli(capsys, "duality", "--tol", "-1")
         assert code == 2
 
@@ -405,12 +418,15 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve")
         assert code == 0
         doc = json.loads(out)
-        assert doc["stationary_point"]["beta"] == pytest.approx(0.457407,
-                                                                abs=1e-4)
-        assert doc["stationary_point"]["E"] == pytest.approx(2.58527, abs=1e-4)
-        assert doc["maximin_beta"] == pytest.approx(0.468733, abs=1e-5)
+        for got, name in ((doc["stationary_point"]["beta"],
+                           "stationary_point_beta"),
+                          (doc["stationary_point"]["E"], "stationary_point_E"),
+                          (doc["maximin_beta"], "maximin_beta")):
+            want, tol = PAPER[name]
+            assert got == pytest.approx(want, abs=tol)
+        want, rtol = PAPER["kmb_density_crossing_classical"]
         assert doc["kmb_density_crossings"]["classical"] == \
-            pytest.approx(1.57565, rel=0.01)
+            pytest.approx(want, rel=rtol)
         assert doc["kmb_density_crossings"]["complex"] is None
 
 
@@ -441,6 +457,21 @@ class TestVerifyCommand:
         doc = json.loads(out)
         failing = [c["check"] for c in doc["checks"] if not c["pass"]]
         assert "critical_beta_unit" in failing
+
+    def test_improper_u_check_fails_on_another_exception(self, monkeypatch):
+        # a PriorKind that fails with a TypeError has not rejected u = 1.2:
+        # only DomainError passes improper_u_range_rejected, so the
+        # TypeError propagates and the suite does not pass
+        valid = verify.priors.PriorKind.__post_init__
+
+        def broken(kind):
+            if kind.u > 1.0:
+                raise TypeError("broken comparison")
+            valid(kind)
+
+        monkeypatch.setattr(verify.priors.PriorKind, "__post_init__", broken)
+        with pytest.raises(TypeError, match="broken comparison"):
+            verify._suite_priors(12345)
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")

@@ -10,8 +10,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from blochgibbs import (cli, duality, magnetics, models, priors, quadrature,
-                        spectra, specfun)
+from blochgibbs import (cli, duality, magnetics, models, oracles, priors,
+                        quadrature, spectra, specfun)
 from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import ModelKind
 
@@ -87,6 +87,43 @@ def test_require_positive_callers(name):
 def test_require_positive_rejects_non_reals(bad):
     with pytest.raises(DomainError, match="log_gamma x must be finite"):
         specfun.require_positive(bad, "log_gamma x")
+
+
+# every integer-n argument in spectra: the caller, and the name its
+# DomainError gives
+N_CALLERS = {
+    "spectrum": (lambda n: spectra.spectrum(n, 1.0), "spectrum n"),
+    "spin_sum_polarization": (
+        lambda n: spectra.spin_sum_polarization(n, 1.0), "spectrum n"),
+    "zeta_matrix_oracle": (
+        lambda n: spectra.zeta_matrix_oracle(n, 1.0), "zeta_matrix_oracle n"),
+    "relative_entropy_numeric": (
+        lambda n: spectra.relative_entropy_numeric(
+            oracles.DensityMatrix2(r=0.5, theta=0.0, phi=0.0), n, 1.0),
+        "zeta_matrix_oracle n"),
+    "asymptotic_relent": (
+        lambda n: spectra.asymptotic_relent(1.0, 1.0, n),
+        "asymptotic_relent n"),
+}
+
+
+@pytest.mark.parametrize("name", list(N_CALLERS))
+def test_integer_n_callers(name):
+    fn, what = N_CALLERS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (2.5, math.inf, -math.inf, math.nan, 0, -1, 0.999):
+            with pytest.raises(DomainError,
+                               match=f"{what} must be a positive integer"):
+                fn(bad)
+        fn(2)
+        fn(2.0)
+        fn(np.int64(2))
+
+
+def test_asymptotic_relent_overflow_raises():
+    with pytest.raises(DomainError, match="beta E overflows"):
+        spectra.asymptotic_relent(1e10, 1e300, 10)
 
 
 MODAL_E = [5e-324, 1e-300, 2.0**-511, 1e-8, 1.0, 700.0, 800.0, 1e308]

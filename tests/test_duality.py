@@ -10,6 +10,7 @@ from blochgibbs.duality import (DualExperimentReport, dual_density,
                                 run_duality_experiment, var_beta_closed)
 from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import GibbsPoint, ModelKind, mean_energy
+from blochgibbs.verify import PAPER
 
 
 class TestDualDensity:
@@ -64,17 +65,20 @@ class TestDualDensity:
 
 
 class TestRoundTripExperiment:
+    @staticmethod
+    def _assert_paper_point(model):
+        rep = run_duality_experiment(model, 16.3)
+        for got, name in ((rep.normalizer, "normalizer"),
+                          (rep.mean_beta, "mean_beta"),
+                          (rep.roundtrip_meanE, "roundtrip")):
+            want, tol = PAPER[f"dual_{model.value}_{name}"]
+            assert got == pytest.approx(want, abs=tol)
+
     def test_complex_paper_point(self):
-        rep = run_duality_experiment(ModelKind.COMPLEX, 16.3)
-        assert rep.normalizer == pytest.approx(0.984296, abs=0.002)
-        assert rep.mean_beta == pytest.approx(0.0636579, abs=5e-4)
-        assert rep.roundtrip_meanE == pytest.approx(16.2805, abs=0.02)
+        self._assert_paper_point(ModelKind.COMPLEX)
 
     def test_quaternionic_paper_point(self):
-        rep = run_duality_experiment(ModelKind.QUATERNIONIC, 16.3)
-        assert rep.normalizer == pytest.approx(0.902062, abs=0.002)
-        assert rep.mean_beta == pytest.approx(0.0664174, abs=5e-4)
-        assert rep.roundtrip_meanE == pytest.approx(16.2645, abs=0.02)
+        self._assert_paper_point(ModelKind.QUATERNIONIC)
 
     def test_contraction_within_half_percent(self):
         for meanE in (8.0, 12.0, 16.3):
@@ -84,7 +88,8 @@ class TestRoundTripExperiment:
     def test_graceful_degradation_at_8(self):
         rep = run_duality_experiment(ModelKind.COMPLEX, 8.0)
         assert isinstance(rep, DualExperimentReport)
-        assert abs(rep.roundtrip_meanE - 8.0) < abs(16.2805 - 16.3)
+        quoted = PAPER["dual_complex_roundtrip"][0]
+        assert abs(rep.roundtrip_meanE - 8.0) < abs(quoted - 16.3)
 
     @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
                                        ModelKind.QUATERNIONIC])
@@ -96,6 +101,23 @@ class TestRoundTripExperiment:
         # their digits and it is 1.5e-31 (complex) or 5.3e-59 (quaternionic)
         with pytest.raises(QuadratureError, match="normaliser"):
             run_duality_experiment(model, meanE)
+
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
+                                       ModelKind.QUATERNIONIC])
+    @pytest.mark.parametrize("meanE", [4e8, 1e9, 1e10])
+    def test_first_moment_near_tol_is_a_quadrature_error(self, model, meanE):
+        # the first moment, about 1/<E>, falls below the absolute tol from
+        # 3.98e8 up, where the round trip would be 26 times <E>
+        with pytest.raises(QuadratureError, match="first moment"):
+            run_duality_experiment(model, meanE)
+
+    @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
+                                       ModelKind.QUATERNIONIC])
+    @pytest.mark.parametrize("meanE", [1e8, 3.16e8])
+    def test_roundtrip_holds_while_first_moment_is_resolved(self, model,
+                                                            meanE):
+        rep = run_duality_experiment(model, meanE)
+        assert rep.roundtrip_meanE == pytest.approx(meanE, rel=1e-11)
 
     def test_roundtrip_is_mean_energy_of_mean_beta(self):
         rep = run_duality_experiment(ModelKind.COMPLEX, 12.0)
@@ -112,7 +134,8 @@ class TestClosedForms:
 
     def test_mean_beta_vs_experiment_quality(self):
         # the closed form tracks the quadrature experiment to a percent
-        assert mean_beta_closed(16.3) == pytest.approx(0.0636579, rel=0.15)
+        assert mean_beta_closed(16.3) == \
+            pytest.approx(PAPER["dual_complex_mean_beta"][0], rel=0.15)
 
     def test_var_beta_closed_formula(self):
         for meanE in (0.5, 2.0, 16.3):

@@ -12,6 +12,7 @@ from blochgibbs.magnetics import (IntersectionReport, brillouin_tanh,
                                   order_parameter, reduced_temperature)
 from blochgibbs.models import (GibbsPoint, ModelKind, integrated_density,
                                mean_polarization)
+from blochgibbs.verify import PAPER
 
 LN2 = math.log(2.0)
 
@@ -56,13 +57,11 @@ class TestComparisonLaws:
 
 
 class TestBrosseauCrossings:
-    @pytest.mark.parametrize("model,target,tol", [
-        (ModelKind.QUATERNIONIC, 0.76007, 1e-4),
-        (ModelKind.COMPLEX, 1.04585, 1e-4),
-        (ModelKind.REAL, 1.46249, 1e-3),
-        (ModelKind.CLASSICAL, 3.1857, 1e-3),
-    ])
-    def test_quoted_roots(self, model, target, tol):
+    @pytest.mark.parametrize("model", [ModelKind.QUATERNIONIC,
+                                       ModelKind.COMPLEX, ModelKind.REAL,
+                                       ModelKind.CLASSICAL])
+    def test_quoted_roots(self, model):
+        target, tol = PAPER[f"brosseau_crossing_{model.value}"]
         rep = intersect_brosseau(model)
         assert isinstance(rep, IntersectionReport)
         assert rep.beta_star == pytest.approx(target, abs=tol)
@@ -81,12 +80,14 @@ class TestBrosseauCrossings:
 
 class TestKmbDensityCrossings:
     def test_classical_crossing(self):
+        want, rtol = PAPER["kmb_density_crossing_classical"]
         assert kmb_density_crossing(ModelKind.CLASSICAL) == \
-            pytest.approx(1.57565, rel=0.01)
+            pytest.approx(want, rel=rtol)
 
     def test_real_crossing(self):
+        want, rtol = PAPER["kmb_density_crossing_real"]
         assert kmb_density_crossing(ModelKind.REAL) == \
-            pytest.approx(0.53341, rel=0.01)
+            pytest.approx(want, rel=rtol)
 
     @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
                                        ModelKind.QUATERNIONIC])
@@ -144,19 +145,22 @@ class TestReducedTemperature:
 
     def test_log_value_at_e10(self):
         got = math.log(reduced_temperature(math.exp(10.0)))
-        assert got == pytest.approx(0.120782 - 5.0, abs=1e-3)
+        assert got == pytest.approx(PAPER["loglinear_intercept"][0] - 5.0,
+                                    abs=1e-3)
 
     def test_loglinear_fit(self):
         slope, intercept = loglinear_fit()
         assert slope == pytest.approx(-0.5, abs=0.002)
-        assert intercept == pytest.approx(0.120782, abs=0.002)
+        want, tol = PAPER["loglinear_intercept"]
+        assert intercept == pytest.approx(want, abs=tol)
         assert intercept == pytest.approx(LN2 - 0.5 * math.log(math.pi),
                                           abs=1e-3)
 
 
 class TestMeanField:
     def test_critical_beta_value(self):
-        assert critical_beta(1.0) == pytest.approx(0.647175, abs=1e-6)
+        want, tol = PAPER["critical_beta_unit"]
+        assert critical_beta(1.0) == pytest.approx(want, abs=tol)
 
     def test_linearity_and_inversion(self):
         assert critical_beta(2.0) == pytest.approx(2 * critical_beta(1.0),

@@ -25,6 +25,7 @@ from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                structure_function, var_energy)
 from blochgibbs.quadrature import integrate_semiinfinite
 from blochgibbs.specfun import hyp_pfq_at_1
+from blochgibbs.verify import PAPER
 
 LN2 = math.log(2.0)
 ALL_MODELS = POWER_LAW_MODELS + (ModelKind.KMB,)
@@ -358,9 +359,11 @@ class TestMeanPolarization:
         assert vals[-1] < 0.1
 
     def test_kmb_gap_location(self):
-        got = (mean_polarization(GibbsPoint(ModelKind.KMB, 0.49825))
-               - mean_polarization(GibbsPoint(ModelKind.COMPLEX, 0.49825)))
-        assert got == pytest.approx(0.0526, abs=5e-4)
+        beta = PAPER["kmb_polarization_gap_argmax"][0]
+        got = (mean_polarization(GibbsPoint(ModelKind.KMB, beta))
+               - mean_polarization(GibbsPoint(ModelKind.COMPLEX, beta)))
+        want, tol = PAPER["kmb_polarization_gap_max"]
+        assert got == pytest.approx(want, abs=tol)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.02, max_value=50.0))

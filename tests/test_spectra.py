@@ -20,6 +20,7 @@ from blochgibbs.spectra import (asymptotic_relent, relative_entropy_numeric,
                                 solve_maximin_beta, solve_stationary_point,
                                 spectrum, spin_sum_polarization,
                                 zeta_matrix_oracle)
+from blochgibbs.verify import PAPER
 
 LN2 = math.log(2.0)
 SMALLEST_NORMAL = 2.2250738585072014e-308
@@ -473,8 +474,10 @@ class TestAsymptoticRelent:
 class TestSolvers:
     def test_stationary_point_matches_quoted_values(self):
         beta, energy = solve_stationary_point()
-        assert beta == pytest.approx(0.457407, abs=1e-4)
-        assert energy == pytest.approx(2.58527, abs=1e-4)
+        want, tol = PAPER["stationary_point_beta"]
+        assert beta == pytest.approx(want, abs=tol)
+        want, tol = PAPER["stationary_point_E"]
+        assert energy == pytest.approx(want, abs=tol)
 
     def test_stationary_point_internal_consistency(self):
         beta, energy = solve_stationary_point()
@@ -488,8 +491,8 @@ class TestSolvers:
         assert abs(gb) < 1e-6 and abs(ge) < 1e-6
 
     def test_maximin_matches_quoted_value(self):
-        beta = solve_maximin_beta()
-        assert beta == pytest.approx(0.468733, abs=1e-5)
+        want, tol = PAPER["maximin_beta"]
+        assert solve_maximin_beta() == pytest.approx(want, abs=tol)
 
     def test_maximin_residual(self):
         from blochgibbs.models import var_energy
