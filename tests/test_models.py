@@ -464,6 +464,50 @@ class TestArrayBeta:
             pdf(GibbsPoint(ModelKind.COMPLEX, np.array([1.0, 2.0])), 0.5)
 
 
+class TestColumns:
+    """``models.columns`` against the four public calls it bundles."""
+
+    OPS = (partition, mean_energy, var_energy, mean_polarization)
+    # both sides of half_shift_gamma's x = 12, the KMB log form's 2.65 and
+    # the 3F2 relation's 20
+    FLOATS = (1e-10, 0.457, 1.0, 2.65, 11.999, 12.0, 20.0, 1e4, 1e10)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_array_columns_equal_public_calls(self, model):
+        point = GibbsPoint(model, ARRAY_GRID)
+        got = models.columns(point)
+        assert len(got) == 4
+        for column, op in zip(got, self.OPS):
+            assert isinstance(column, np.ndarray)
+            np.testing.assert_array_equal(column, op(point))
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("beta", FLOATS)
+    def test_float_columns_equal_public_calls(self, model, beta):
+        point = GibbsPoint(model, beta)
+        got = models.columns(point)
+        assert [type(v) for v in got] == [float] * 4
+        assert list(got) == [op(point) for op in self.OPS]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("beta", [
+        np.array([0.0, 1.0]), np.array([1e-200, 1.0]),
+        np.array([1e-320, 1.0]), np.array([1.0, 1e12]),
+        np.array([1.0, 1e160]), np.array([1.0, 1e306]), 1e-200, 1e12])
+    def test_first_domain_error_is_the_public_calls(self, model, beta):
+        # the error the four calls raise run in order, message and all
+        point = GibbsPoint(model, beta)
+        try:
+            want = [op(point) for op in self.OPS]
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                models.columns(point)
+            assert str(info.value) == str(exc)
+        else:
+            for column, value in zip(models.columns(point), want):
+                np.testing.assert_array_equal(column, value)
+
+
 class TestMeanEnergySeries:
     """The Pochhammer series against the 40-digit complex <E> of
     tests/ref/energy_moments_mpmath.json, at all of its 124 beta."""

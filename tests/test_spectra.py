@@ -470,6 +470,22 @@ class TestAsymptoticRelent:
         with pytest.raises(DomainError):
             asymptotic_relent(1.0, -1.0, 10)
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-10, 0.457, 1.0, 1e4, 1e10,
+                                      1e15, 1e300])
+    def test_matches_mpmath(self, beta):
+        # E = min(1, 1/beta) keeps beta E at most 1, so the gamma term
+        # (-1036 at beta = 1e300) is not hidden under it
+        energy, n = min(1.0, 1.0 / beta), 50
+        with mp.workdps(60 + max(0, int(math.log10(beta)))):
+            b, e = mp.mpf(beta), mp.mpf(energy)
+            om = mp.sqrt(-mp.expm1(-e))
+            terms = [1.5 * mp.log(n), -0.5, -1.5 * mp.log(2), b * e,
+                     -(mp.log1p(om) + e / 2) / om,  # artanh(om) / om
+                     mp.loggamma(b) - mp.loggamma(b + 1.5)]
+            want, scale = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+            err = abs(mp.mpf(asymptotic_relent(beta, energy, n)) - want)
+        assert err <= 3e-16 * scale
+
 
 class TestSolvers:
     def test_stationary_point_matches_quoted_values(self):

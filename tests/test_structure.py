@@ -1,9 +1,12 @@
 """Timing-free guards on how the work is done: no quadrature behind the
 integrated densities, one f call per root scan, the terms a unit-argument
 series spends and no library call of that summator, no log-gamma behind
-the spectrum, one level-batched quadrature engine, and oracles whose work
-arrays do not grow with the draw or point count."""
+the spectrum, one level-batched quadrature engine, oracles whose work
+arrays do not grow with the draw or point count, and a light CLI import."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -129,8 +132,10 @@ class TestNoLogGammaSpectrum:
         def refuse(*args):
             raise AssertionError("log_gamma called")
 
+        # spectra binds no log_gamma of its own (asymptotic_relent takes
+        # the half-shift L)
+        assert "log_gamma" not in vars(spectra)
         monkeypatch.setattr(specfun, "log_gamma", refuse)
-        monkeypatch.setattr(spectra, "log_gamma", refuse)
         for n in (1, 2, 13, 1028):
             for b in (2.0**-511, 1.0, 1e5, 1e300):
                 spectra.spectrum(n, b)
@@ -241,3 +246,25 @@ class TestBoundedMemory:
     # one-piece CDF peak at 12.9 MB
     def test_verify_models_suite(self):
         assert _peak_mb(lambda: verify._suite_models(0)) <= self.LIMIT_MB
+
+
+class TestImportWeight:
+    # numpy.random alone adds about 10 ms to every interpreter start that
+    # imports the CLI; scipy and mpmath are test and reference tools only
+    HEAVY = ("numpy.random", "scipy", "mpmath")
+
+    def test_cli_import_and_sweeps_leave_heavy_modules_out(self):
+        script = ("import contextlib, io, sys\n"
+                  "import blochgibbs.cli\n"
+                  f"heavy = {self.HEAVY!r}\n"
+                  "print([m for m in heavy if m in sys.modules])\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    for name in ('real', 'complex', 'quat', 'class', 'kmb'):\n"
+                  "        blochgibbs.cli.main(['sweep', '--model', name])\n"
+                  "print([m for m in heavy if m in sys.modules])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                              .parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n[]\n"
