@@ -106,9 +106,9 @@ def _cmd_sweep(args) -> int:
     Bounds must be finite with 0 < --beta-min < --beta-max; anything else
     is a usage error (exit 2) raised before a grid is built.  Each column
     equals one-beta-at-a-time evaluation bit for bit (see ``models``); a
-    200-point grid on [0.05, 500] takes about 1.5-1.6 ms for the complex,
-    quaternionic and classical families, 1.0 ms for the real one and
-    1.1 ms for KMB, parsing and CSV output included; about 0.45 ms of each
+    200-point grid on [0.05, 500] takes about 0.9 ms for the complex,
+    quaternionic and classical families, 0.7 ms for the real one and
+    1.0 ms for KMB, parsing and CSV output included; about 0.45 ms of each
     is ``figures.write_csv`` formatting the 1,000 cells (one core of a
     2-core x86-64 VM).
     """

@@ -19,7 +19,6 @@ their digits at s = 3/(2<E>) past ~1e10 (<E> below ~1e-10).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import quadrature
 from .errors import DomainError, QuadratureError
 from .models import (GibbsPoint, ModelKind, mean_energy, omega_complex,
                      partition, var_energy)
-from .specfun import per_element, require_positive
+from .specfun import require_positive
 
 __all__ = [
     "DualExperimentReport",
@@ -64,15 +63,14 @@ def dual_density(model: ModelKind, meanE: float, beta):
 
     beta is a float or a 1-D float ndarray whose every element is finite
     and > 0 (else DomainError from ``models``); an array returns one value
-    per element, each equal to the float result bit for bit (the array
-    paths of ``models`` and ``math.exp`` per element).  The accuracy is
-    that of ``partition`` and ``var_energy``, a few ulps relative.
+    per element, each equal to the float result bit for bit.  The accuracy
+    is that of ``partition`` and ``var_energy``, a few ulps relative.
     """
     _check_dual_args(model, meanE)
     c = 2.0 * model.half_dof
     point = GibbsPoint(model, beta)
     ref = GibbsPoint(model, c / (2.0 * meanE))
-    value = (0.5 * c * per_element(math.exp, -beta * meanE)
+    value = (0.5 * c * np.exp(-beta * meanE)
              * np.sqrt(var_energy(point)) * partition(ref) / partition(point))
     return value if isinstance(beta, np.ndarray) else float(value)
 

@@ -16,7 +16,7 @@ from . import rootfind
 from .errors import DomainError
 from .models import (GibbsPoint, ModelKind, integrated_density,
                      mean_polarization)
-from .specfun import per_element, require_positive
+from .specfun import require_positive
 
 __all__ = [
     "IntersectionReport",
@@ -93,7 +93,7 @@ def intersect_brosseau(model: ModelKind) -> IntersectionReport:
 
     def f(b):
         return (mean_polarization(GibbsPoint(model, b))
-                - per_element(math.tanh, 1.0 / b))
+                - np.tanh(1.0 / b))
 
     lo, hi = rootfind.scan_bracket(f, 0.1, 10.0, points=200)
     root = rootfind.brent(f, lo, hi, xtol=1e-14)
@@ -125,8 +125,8 @@ def reduced_temperature(beta: float | np.ndarray) -> float | np.ndarray:
     ratio at which the tanh law would produce the same magnetization.
 
     beta is a float > 0 or a 1-D float array of finite values > 0.  An
-    array makes one ``mean_polarization`` call and applies ``math.atanh``
-    per element, so each element equals the float result bit for bit.
+    array makes one ``mean_polarization`` call, and each element equals the
+    float result bit for bit.
     DomainError if any <r> rounds to 1 (saturation: beta = 0 or below
     about 1e-14), where the artanh is undefined, and for any beta that
     ``GibbsPoint`` rejects.
@@ -134,7 +134,8 @@ def reduced_temperature(beta: float | np.ndarray) -> float | np.ndarray:
     pol = mean_polarization(GibbsPoint(ModelKind.COMPLEX, beta))
     if np.any(pol >= 1.0):
         raise DomainError("polarization at saturation; artanh undefined")
-    return per_element(math.atanh, pol)
+    x = np.arctanh(pol)
+    return x if isinstance(beta, np.ndarray) else float(x)
 
 
 def loglinear_fit() -> tuple[float, float]:
@@ -142,7 +143,7 @@ def loglinear_fit() -> tuple[float, float]:
     ln(beta) over 60 log-spaced beta on [1e3, 1e5]; the tail law is
     ln x = ln 2 - (1/2) ln pi - (1/2) ln beta."""
     betas = np.logspace(3.0, 5.0, 60)
-    y = per_element(math.log, reduced_temperature(betas))
+    y = np.log(reduced_temperature(betas))
     design = np.vstack([np.log(betas), np.ones_like(betas)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0]), float(coef[1])

@@ -17,11 +17,9 @@ relation (``_series_then_relation``), not the unit-argument summator.
 
 Array beta: ``partition``, ``mean_energy``, ``var_energy`` and
 ``mean_polarization`` also take a GibbsPoint whose beta is a 1-D float
-array, one value per element equal to the float result bit for bit (the
-power-law Z and <r> through the array paths of ``specfun`` with
-``math.exp`` and ``math.log`` per element, every other path by running
-the array code on one element for a float).  ``columns`` gives all four
-from the same private helpers with one half-shift evaluation.
+array, one value per element equal to the float result bit for bit
+(``specfun``'s rounding convention).  ``columns`` gives all four from the
+same private helpers with one half-shift evaluation.
 Every other function here takes a float beta; ``integrated_density``
 also takes an array of E0.
 
@@ -40,7 +38,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, PoleProximityError
-from .specfun import log_gamma, log_gamma_signed, per_element
+from .specfun import log_gamma, log_gamma_signed
 
 __all__ = [
     "ModelKind",
@@ -78,8 +76,11 @@ _RELATION_STEPS = 20
 _KMB_3F2_SERIES = (np.arange(2.0, 49.0), 1 / (2 * np.arange(48.0) + 1))
 _POCHHAMMER_SERIES = (np.arange(1.5, 65.0),
                       np.append(0.0, 1.0 / np.arange(1.0, 65.0)))
-# KMB <r> from here up would carry more than 2.5e-3 of log_gamma rounding
-_KMB_POLARIZATION_MAX = 1e11
+# <r> above this carries more than 1.6e-4 (power laws) or 2.5e-3 (KMB)
+# relative error from the rounding of its log_gamma differences
+_POLARIZATION_MAX = 1e11
+# ln(2**1024), rounded: the largest ln Z whose exponential is finite
+_LN_MAX = 1024 * _LN2
 
 
 class ModelKind(enum.Enum):
@@ -175,6 +176,11 @@ class EnergyValue:
         return cls(E=-math.log1p(-r * r))
 
 
+def _largest(x):
+    """The largest element of an array x (-inf if empty), or a float x."""
+    return x.max(initial=-math.inf) if isinstance(x, np.ndarray) else x
+
+
 def _require_positive_beta(point: GibbsPoint):
     beta = point.beta
     low = beta.min(initial=math.inf) if isinstance(beta, np.ndarray) else beta
@@ -239,23 +245,24 @@ def partition(point: GibbsPoint) -> float | np.ndarray:
 
 def _partition(point: GibbsPoint, low, shift) -> float | np.ndarray:
     """``partition`` past its beta > 0 check, which returned low; shift(b)
-    gives ``specfun.half_shift_gamma`` of the rows b of point.beta."""
-    if point.model is ModelKind.KMB:
-        _require_kmb_beta(point.beta, "partition")
-        return _one_row(point.beta,
-                        lambda b: _SQRT_PI * np.exp(-shift(b)[0]) / b)
-    h, beta = point.model.half_dof, point.beta
-    try:
-        if point.model is ModelKind.REAL:  # Gamma(beta) / Gamma(1 + beta)
-            if low <= 2.0**-1024:  # 1/beta is inf
-                raise OverflowError
-            return _one_row(beta, lambda b: 1.0 / b)
-        return per_element(math.exp, log_gamma(h) + log_gamma(beta)
-                           - log_gamma(h + beta))
-    except OverflowError:
-        raise DomainError(
-            f"{point.model.value} partition overflows below beta of about "
-            f"5.56e-309, got {float(np.min(beta))!r}") from None
+    gives ``specfun.half_shift_gamma`` of point.beta."""
+    model, beta = point.model, point.beta
+    if model is ModelKind.KMB:
+        _require_kmb_beta(beta, "partition")
+        z = _SQRT_PI * np.exp(-shift(beta)[0]) / beta
+    else:
+        if model is ModelKind.REAL:  # Gamma(beta) / Gamma(1 + beta)
+            finite = low > 2.0**-1024  # 1/beta
+        else:
+            h = model.half_dof
+            log_z = log_gamma(h) + log_gamma(beta) - log_gamma(h + beta)
+            finite = _largest(log_z) <= _LN_MAX  # e^log_z
+        if not finite:
+            raise DomainError(
+                f"{model.value} partition overflows below beta of about "
+                f"5.56e-309, got {float(low)!r}")
+        z = 1.0 / beta if model is ModelKind.REAL else np.exp(log_z)
+    return z if isinstance(beta, np.ndarray) else float(z)
 
 
 def pdf(point: GibbsPoint, E):
@@ -292,11 +299,11 @@ def _energy_moment(point: GibbsPoint, k: int) -> float | np.ndarray:
     1/beta), is 1/(beta + a) over a = h - 1, h - 2, ... >= 0, plus the
     half-shift D for half-integer h: real {0}, classical D, complex {1/2}
     + D, quaternionic {1/2, 3/2} + D, KMB {0} + D.  No term cancels.  A
-    float is one array element (40-65 us; 200 beta 0.1 ms): batch it."""
+    float costs one float ``half_shift_gamma`` call (40-65 us; 200 beta
+    0.1 ms): batch it."""
     low = _require_positive_beta(point)
     _require_moment_beta(point, low, k)
-    return _one_row(point.beta,
-                    _moment_rule(point.model, k, specfun.half_shift_gamma))
+    return _moment_rule(point.model, k, specfun.half_shift_gamma)(point.beta)
 
 
 def _moment_terms(model: ModelKind):
@@ -324,8 +331,8 @@ def _require_moment_beta(point: GibbsPoint, low, k: int):
 
 
 def _moment_rule(model: ModelKind, k: int, shift):
-    """``_energy_moment``'s sum as a function of the rows b; shift(b) gives
-    ``specfun.half_shift_gamma`` of b."""
+    """``_energy_moment``'s sum as a function of a float or 1-D array beta
+    b; shift(b) gives ``specfun.half_shift_gamma`` of b."""
     half, poles = _moment_terms(model)
 
     def rule(b):
@@ -342,18 +349,10 @@ def _require_kmb_beta(beta, name):
     """DomainError unless every KMB beta lies in [2**-511, 2**511], where
     Z, <E> and var E are normal doubles."""
     specfun.require_square_floor(beta, f"KMB {name}", "beta")
-    high = beta.max(initial=0.0) if isinstance(beta, np.ndarray) else beta
+    high = _largest(beta)
     if high > 2.0**511:
         raise DomainError(f"KMB {name} requires beta <= 2**511 (about "
                           f"6.7e153), got {float(high)!r}")
-
-
-def _one_row(beta, fn):
-    """fn of a 1-D array beta, or of a float beta as a one-element array and
-    back to a float, so a float equals its array element bit for bit."""
-    if isinstance(beta, np.ndarray):
-        return fn(beta)
-    return float(fn(np.array([beta]))[0])
 
 
 def _series_then_relation(x: np.ndarray, series, relation) -> np.ndarray:
@@ -397,7 +396,8 @@ def _kmb_3f2(x: np.ndarray) -> np.ndarray:
 
 def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
     """KMB <r> = 2 beta Gamma(1/2+beta) / (sqrt(pi) Gamma(2+beta)) F(beta)
-    for a 1-D array 0 < beta <= 1e11, F = ``_kmb_3f2``.
+    for a 1-D array 0 < beta <= 1e11 (``mean_polarization`` checks the
+    ceiling), F = ``_kmb_3f2``.
 
     Below beta = 2.65 the contiguous relation turns 2 beta F(beta) into
     1 + g, g = 2 beta (2 beta+3)/(2 beta+4) F(beta+1), and the gamma ratio
@@ -407,16 +407,13 @@ def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
     1e-15 relative of 40-digit mpmath and 1.0 exactly below beta ~ 6e-9.
 
     From 2.65 up the gamma ratio is still the exponential of a log_gamma
-    difference: perfbench/ref/fig5.csv, which the benchmark compares to
-    1e-14 absolute, holds its rounding in the gap column (up to 5.3e-14 for
-    beta in [230, 972]), so it moves to the half-shift L once that file is
-    captured again.  Until then its error, about 1e-15 |ln Gamma(2 + beta)|
-    relative, reaches 2.5e-3 at beta = 1e11, above which this raises
-    DomainError.
+    difference: perfbench/ref/fig5.csv, which the benchmark compares at
+    1e-10 relative plus 1e-14 absolute, holds its rounding in the gap
+    column (up to 5.3e-14 for beta in [230, 972]), so it moves to the
+    half-shift L once that file is captured again.  Until then its error,
+    about 1e-15 |ln Gamma(2 + beta)| relative, reaches 2.5e-3 at
+    beta = 1e11.
     """
-    if beta.max(initial=0.0) > _KMB_POLARIZATION_MAX:
-        raise DomainError("KMB mean_polarization requires beta <= 1e11, "
-                          f"got {float(beta.max())!r}")
     log_form = beta < _KMB_LOG_FORM_BELOW
     f = _kmb_3f2(beta + log_form)  # F(beta + 1) in the log form
     r = np.empty_like(beta)
@@ -429,41 +426,48 @@ def _kmb_polarization(beta: np.ndarray) -> np.ndarray:
     if direct.any():
         b = beta[direct]
         r[direct] = (2.0 * b * f[direct] / _SQRT_PI
-                     * per_element(math.exp, log_gamma(0.5 + b)
-                                   - log_gamma(2.0 + b)))
+                     * np.exp(log_gamma(0.5 + b) - log_gamma(2.0 + b)))
     return r
 
 
 def _polarization(model: ModelKind, beta):
-    """<r> for float or array beta > 0, before the cap at 1."""
+    """<r> for float or 1-D array beta in (0, 1e11], before the cap at 1.
+    The KMB kernel masks rows, so it takes a float as one array element."""
     if model is ModelKind.KMB:
-        return _one_row(beta, _kmb_polarization)
+        r = _kmb_polarization(np.array(beta, ndmin=1))
+        return r if isinstance(beta, np.ndarray) else r[0]
     m = model.m
-    return per_element(math.exp, log_gamma(1.0 + m / 2.0)
-                       + log_gamma(0.5 + beta + m / 2.0)
-                       - log_gamma(1.0 + beta + m / 2.0)
-                       - log_gamma((1.0 + m) / 2.0))
+    return np.exp(log_gamma(1.0 + m / 2.0) + log_gamma(0.5 + beta + m / 2.0)
+                  - log_gamma(1.0 + beta + m / 2.0)
+                  - log_gamma((1.0 + m) / 2.0))
 
 
 def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
     """<r>, the mean Bloch-vector length; 1 at beta = 0, -> 0 as beta -> inf.
 
     Power-law families use the closed gamma-ratio form
-    Gamma(1+m/2) Gamma(1/2+beta+m/2) / (Gamma(1+beta+m/2) Gamma((1+m)/2)).
-    KMB is a gamma ratio times a 3F2 factor that needs no series summed
-    to the unit point (``_kmb_polarization``; a float beta runs it on one
-    array element).  Against 40-digit mpmath: below beta = 2.65 within
-    1e-15 relative (median 2e-17), and the exact 1.0 from beta ~ 6e-9
-    down to 5e-324; from 2.65 up within 1e-14 + 1e-15 |ln Gamma(2+beta)|
-    relative, the rounding of the log_gamma difference (6.6e-12 at
-    beta = 1e4, 1.1e-5 at 1e10); above beta = 1e11 DomainError.  A
-    200-point KMB grid takes about 0.37 ms, a float 0.1-0.15 ms (2-core
-    x86-64 VM).  Float or array beta >= 0.  The result never exceeds 1:
+    Gamma(1+m/2) Gamma(1/2+beta+m/2) / (Gamma(1+beta+m/2) Gamma((1+m)/2)),
+    whose log_gamma differences lose digits as beta grows: against
+    60-digit mpmath up to 2e-5 relative at beta = 1e10, 1.6e-4 at 1e11,
+    2.7e-3 at 1e12 and 1e8 times the true value at 1e16.  KMB is a gamma
+    ratio times a 3F2 factor that needs no series summed to the unit point
+    (``_kmb_polarization``).  Against 40-digit mpmath: below beta = 2.65
+    within 1e-15 relative (median 2e-17), and the exact 1.0 from
+    beta ~ 6e-9 down to 5e-324; from 2.65 up within 1e-14 + 1e-15
+    |ln Gamma(2+beta)| relative, the rounding of the log_gamma difference
+    (6.6e-12 at beta = 1e4, 1.1e-5 at 1e10).  Every family raises
+    DomainError above beta = 1e11.  A 200-point KMB grid over [0.1, 100]
+    takes about 0.24 ms, a float 75-80 us (2-core x86-64 VM).  Float or array beta >= 0.  The result never exceeds 1:
     below beta of about 1e-8 rounding can push the power-law formulas a
     few ulps above 1 while the true value is within an ulp of 1, and 1 is
     returned instead.
     """
     beta = point.beta
+    high = _largest(beta)
+    if high > _POLARIZATION_MAX:
+        family = "KMB" if point.model is ModelKind.KMB else point.model.value
+        raise DomainError(f"{family} mean_polarization requires beta <= "
+                          f"1e11, got {float(high)!r}")
     if isinstance(beta, np.ndarray):
         out = np.ones_like(beta)
         positive = beta > 0
@@ -472,7 +476,7 @@ def mean_polarization(point: GibbsPoint) -> float | np.ndarray:
         return np.minimum(out, 1.0)
     if beta == 0.0:
         return 1.0
-    return min(_polarization(point.model, beta), 1.0)
+    return min(float(_polarization(point.model, beta)), 1.0)
 
 
 def columns(point: GibbsPoint) -> tuple:
@@ -491,7 +495,7 @@ def columns(point: GibbsPoint) -> tuple:
     low = _require_positive_beta(point)
     memo = []
 
-    def shift(b):  # b is always the rows of point.beta
+    def shift(b):  # b is always point.beta
         if not memo:
             memo.append(specfun.half_shift_gamma(b))
         return memo[0]
@@ -502,7 +506,7 @@ def columns(point: GibbsPoint) -> tuple:
         # partition has checked the KMB range and the real <E>'s floor;
         # the first moment that needs beta >= 2**-511 names it
         _require_moment_beta(point, low, 1 if half else 2)
-    return (z, *(_one_row(point.beta, _moment_rule(point.model, k, shift))
+    return (z, *(_moment_rule(point.model, k, shift)(point.beta)
                  for k in (1, 2)), mean_polarization(point))
 
 
@@ -536,8 +540,7 @@ def integrated_density(model: ModelKind, E0):
 
     E0 is a float >= 0 or a 1-D float ndarray of finite values >= 0, in
     any order and with repeats (one value per element); anything else
-    raises DomainError.  Both types run the same arithmetic (``math.exp``
-    per element for the power laws, one numpy path for KMB), so array
+    raises DomainError.  Both types run the same arithmetic, so array
     elements equal float results bit for bit.
 
     The four power-law families use their closed forms, with
@@ -588,12 +591,12 @@ def integrated_density(model: ModelKind, E0):
     if model is ModelKind.COMPLEX:
         out, first = 2.0 * (ath - om), 1
     else:
-        out = 2.0 * (ath + om * (per_element(math.exp, -E0) - 4.0) / 3.0)
+        out = 2.0 * (ath + om * (np.exp(-E0) - 4.0) / 3.0)
         first = 2
     r2 = -np.expm1(-np.asarray(E0, dtype=float))
     if not array:
         r2 = float(r2)
-        return _atanh_tail(r2, om, first) if r2 < _SWITCH_R2 else out
+        return _atanh_tail(r2, om, first) if r2 < _SWITCH_R2 else float(out)
     low = r2 < _SWITCH_R2
     if low.any():
         out[low] = _atanh_tail(r2[low], om[low], first)

@@ -211,16 +211,17 @@ def test_recurrence_domain_corners(x, name, as_array):
 def test_power_law_moments_at_the_recurrence_corners(beta, model, as_array):
     # each moment is finite or raises DomainError, without a numpy warning;
     # where Z ~ 1/beta or <E> ~ 1/beta overflows, and above log_gamma's
-    # ceiling, it raises (the finite values at large beta are not accurate:
-    # the log_gamma differences cancel there); the real Z is 1/beta, which
-    # has no ceiling
+    # ceiling, it raises (the finite values of Z at large beta are not
+    # accurate: the log_gamma differences cancel there), and <r> raises
+    # above 1e11, where that loss passes 1.6e-4; the real Z is 1/beta,
+    # which has no ceiling
     point = models.GibbsPoint(model, np.array([beta]) if as_array else beta)
     real = model is ModelKind.REAL
     must_raise = {models.partition: beta < 5.56e-309
                   or beta > 2.6e305 and not real,
                   models.mean_energy: beta < 5.56e-309,
                   models.var_energy: beta < 2.0**-511,
-                  models.mean_polarization: beta > 2.6e305}
+                  models.mean_polarization: beta > 1e11}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn, raises in must_raise.items():

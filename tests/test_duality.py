@@ -51,7 +51,12 @@ class TestDualDensity:
     @pytest.mark.parametrize("model", [ModelKind.COMPLEX,
                                        ModelKind.QUATERNIONIC])
     def test_array_equals_float_path(self, model):
-        betas = np.concatenate((np.logspace(-6, 2.1, 300), [122.7]))
+        # then the domain's edges: var E's floor 2**-511, where
+        # e^(-beta <E>) underflows (beta = 45.7 at <E> = 16.3) and up to
+        # the log_gamma ceiling of Z
+        betas = np.concatenate((np.logspace(-6, 2.1, 300), [122.7],
+                                [2.0**-511, 1e-100, 45.0, 46.0, 1e10, 1e300,
+                                 2.5e305]))
         got = dual_density(model, 16.3, betas)
         assert got.tolist() == [dual_density(model, 16.3, float(b))
                                 for b in betas]

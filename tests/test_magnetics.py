@@ -125,7 +125,10 @@ class TestReducedTemperature:
             assert abs(got - want) < 5.0 / beta**2
 
     def test_array_equals_float_path(self):
-        betas = np.logspace(-2, 3, 400)
+        # the fig6 grid, then the domain's edges: just above saturation
+        # (<r> rounds to 1 below about 2e-14) and the <r> ceiling 1e11
+        betas = np.concatenate((np.logspace(-2, 3, 400),
+                                [2e-14, 1e-13, 1e10, 1e11]))
         got = reduced_temperature(betas)
         assert got.tolist() == [reduced_temperature(float(b)) for b in betas]
 

@@ -816,7 +816,11 @@ class TestIntegratedDensity:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_array_equals_float_path(self, model):
-        e0s = np.logspace(-5, 1.7, 400)
+        # the fig4 grid, then the domain's edges: 0, subnormal and tiny E0,
+        # where e^-E0 underflows (745.2) and the KMB ceiling 2**511
+        e0s = np.concatenate((np.logspace(-5, 1.7, 400),
+                              [0.0, 5e-324, 2.0**-1022, 1e-300, 700.0,
+                               745.2, 2.0**511]))
         got = integrated_density(model, e0s)
         want = [integrated_density(model, float(e)) for e in e0s]
         assert got.shape == e0s.shape

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -411,7 +412,7 @@ class TestArrayKernels:
         got = fn(KERNEL_GRID)
         want = np.array([fn(x) for x in KERNEL_GRID.tolist()])
         assert got.shape == KERNEL_GRID.shape
-        # same operations and the same math.log: equal bit for bit, which
+        # same operations and the same np.log: equal bit for bit, which
         # is stricter than the 1e-15 relative the models rely on
         np.testing.assert_array_equal(got, want)
 
@@ -452,6 +453,61 @@ class TestArrayKernels:
                 tiny = 2.0**-511 if fn is trigamma else 1e-200
                 got = fn(np.array([1e200, tiny]))
                 assert got[0] == fn(1e200)
+
+
+_TINY = 5e-324
+_HUGE = sys.float_info.max
+# Every numpy ufunc the library applies to a float and to an array alike,
+# with the ends of the arguments it takes there and the points where the
+# ufunc changes regime: 0, 1, the underflow and overflow thresholds of exp
+# and expm1, where tanh reaches 1, the poles of arctanh.
+UFUNC_EDGES = {
+    "log": (0.0, _TINY, 2.0**-1022, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, _HUGE),
+    "log1p": (-1.0, -1.0 + 2.0**-53, -_TINY, 0.0, _TINY, 1e-16, 1.0, _HUGE),
+    "exp": (-745.2, -745.1, -708.4, -_TINY, 0.0, _TINY, 1.0, 709.78, 709.8),
+    "expm1": (-745.2, -37.5, -_TINY, 0.0, _TINY, 1e-16, 709.78, 709.8),
+    "sqrt": (0.0, _TINY, 2.0**-1022, 1.0, 2.0, _HUGE),
+    "tanh": (-_HUGE, -19.1, -_TINY, 0.0, _TINY, 1e-8, 19.1, 22.0, _HUGE),
+    "arctanh": (-1.0, -1.0 + 2.0**-53, -_TINY, 0.0, _TINY, 1e-8, 0.5,
+                1.0 - 2.0**-53, 1.0),
+}
+
+
+def _ufunc_arguments(name, count=20_000, seed=20261022):
+    """``count`` seeded arguments inside the ufunc's domain: the edges and
+    their neighbouring doubles, then magnitudes log-uniform over the
+    domain's binades with either sign where the domain allows it."""
+    edges = np.array(UFUNC_EDGES[name])
+    lo, hi = edges.min(), edges.max()
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):  # inf past the largest double
+        near = np.concatenate([np.nextafter(edges, -math.inf),
+                               edges, np.nextafter(edges, math.inf)])
+        draws = 4 * count  # enough that count of them lie in the domain
+        magnitude = 2.0 ** rng.uniform(-1074.0, 1024.0, draws)
+    sign = rng.choice((-1.0, 1.0), draws) if lo < 0 else 1.0
+    # half of the draws on the part of the domain that holds the regimes
+    scale = rng.uniform(lo, min(hi, 40.0), draws)
+    x = np.where(rng.random(draws) < 0.5, sign * magnitude, scale)
+    x = np.concatenate([near, x])
+    return x[(x >= lo) & (x <= hi)][:count]
+
+
+class TestUfuncPremise:
+    """A numpy ufunc gives a Python float the bits it gives an array
+    element, which the one rounding convention of the library rests on
+    (``specfun``'s module docstring)."""
+
+    @pytest.mark.parametrize("name", sorted(UFUNC_EDGES))
+    def test_float_equals_array_element(self, name):
+        ufunc = getattr(np, name)
+        x = _ufunc_arguments(name)
+        with np.errstate(all="ignore"):  # -inf, inf at the domain's ends
+            array = ufunc(x)
+            floats = np.array([ufunc(v) for v in x.tolist()])
+        assert x.size == 20_000
+        mismatched = x[array.view(np.int64) != floats.view(np.int64)]
+        assert mismatched.tolist() == []
 
 
 # KMB-like rows: direct (beta >= 3) and Thomae-mapped rows, plus one

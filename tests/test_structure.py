@@ -2,7 +2,8 @@
 integrated densities, one f call per root scan, the terms a unit-argument
 series spends and no library call of that summator, no log-gamma behind
 the spectrum, one level-batched quadrature engine, oracles whose work
-arrays do not grow with the draw or point count, and a light CLI import."""
+arrays do not grow with the draw or point count, a light CLI import, and
+one rounding convention for floats and arrays."""
 
 import os
 import subprocess
@@ -268,3 +269,16 @@ class TestImportWeight:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n[]\n"
+
+
+class TestOneRoundingConvention:
+    # a float and an array element take the same numpy ufuncs, so no
+    # per-element Python map or one-element array stands in for them
+    BANNED = ("per_element", "_one_row", "np.fromiter(map", "np.vectorize",
+              "np.frompyfunc")
+
+    def test_no_per_element_device_in_the_library(self):
+        src = Path(specfun.__file__).resolve().parent
+        found = [(path.name, word) for path in sorted(src.glob("*.py"))
+                 for word in self.BANNED if word in path.read_text()]
+        assert found == []
