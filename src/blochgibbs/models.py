@@ -127,10 +127,11 @@ class GibbsPoint:
 
     beta = 0 is admitted at construction because the polarization mean has
     a continuous limit there; every partition-function-backed operation
-    requires beta > 0 and raises otherwise.  beta may also be a 1-D float
-    ndarray (a grid; stored as a read-only copy), which ``partition``,
-    ``mean_energy``, ``var_energy`` and ``mean_polarization`` evaluate
-    element by element.
+    requires beta > 0 and raises otherwise.  beta is a Python or numpy
+    int or float, or a 1-D real ndarray (a grid; stored as a read-only
+    float copy), which ``partition``, ``mean_energy``, ``var_energy`` and
+    ``mean_polarization`` evaluate element by element.  Anything else (a
+    str, a list, a complex number or a complex array) raises DomainError.
     """
 
     model: ModelKind
@@ -140,12 +141,13 @@ class GibbsPoint:
         if not isinstance(self.model, ModelKind):
             raise DomainError(f"model must be a ModelKind, got {self.model!r}")
         if isinstance(self.beta, np.ndarray):
-            beta = np.array(self.beta, dtype=float)
+            beta = specfun.require_real_array(self.beta, "GibbsPoint beta")
             if beta.ndim != 1 or not np.all((beta >= 0) & (beta < math.inf)):
                 raise DomainError("beta must be a 1-D array of finite values >= 0")
             beta.flags.writeable = False
             object.__setattr__(self, "beta", beta)
-        elif not math.isfinite(self.beta) or self.beta < 0:
+        elif not (isinstance(self.beta, specfun._REALS)
+                  and 0 <= self.beta < math.inf):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
 
 
@@ -720,13 +722,13 @@ def mean_energy_asymptotic(beta: float, order: int) -> float:
     """Partial sum of the large-beta expansion of <E>, complex family:
     3/(2 b) - 3/(8 b^2) + 1/(4 b^3) - 9/(64 b^4) + 1/(16 b^5), by Horner's
     rule in 1/b.  Domain: finite beta >= 1 (below it the terms grow) and
-    order in 1..5, else DomainError."""
+    an integral order in 1..5, else DomainError."""
     specfun.require_positive(beta, "mean_energy_asymptotic beta")
-    if beta < 1.0 or not 1 <= order <= 5:
+    if beta < 1.0 or order not in range(1, 6):
         raise DomainError(f"mean_energy_asymptotic requires beta >= 1 and "
                           f"order in 1..5, got {beta!r}, {order!r}")
     u = 1.0 / beta
-    return u * specfun._horner(_MEAN_E_ASYMPT[:order], u)
+    return u * specfun._horner(_MEAN_E_ASYMPT[:int(order)], u)
 
 
 def polarization_asymptotic(beta: float) -> float:

@@ -134,7 +134,8 @@ class EnergyInverter:
     rule on [t0, t]; g(t), that rule's last node, is also the derivative
     for the Newton steps of ``quantile``.
 
-    Domain: a float beta with 2**-511 <= beta <= 1e100, else DomainError.
+    Domain: a float (not an array) beta with 2**-511 <= beta <= 1e100,
+    else DomainError.
     The law of beta*E hardly changes shape outside [1e-10, 1e10], and the
     draws keep their accuracy over the whole range: a fixed seed gives
     the same mean of beta*E, to 0.1 standard error, at 2**-511 as at
@@ -154,6 +155,9 @@ class EnergyInverter:
     _NEWTON_STEPS = 8  # then plain bisection, so every row terminates
 
     def __init__(self, point: GibbsPoint):
+        if isinstance(point.beta, np.ndarray):
+            raise DomainError("the inverse-CDF sampler takes a float beta, "
+                              "not an array")
         if point.beta <= 0:
             raise DomainError("sampling requires beta > 0")
         specfun.require_square_floor(point.beta, "the inverse-CDF sampler",
@@ -321,13 +325,13 @@ def energy_cdf(point: GibbsPoint, E):
     return EnergyInverter(point).cdf(E)
 
 
-def _require_count(count) -> int:
-    if (isinstance(count, (bool, np.bool_))
-            or not isinstance(count, (int, np.integer))):
-        raise DomainError(f"count must be an integer, got {count!r}")
-    if count <= 0:
-        raise DomainError("count must be positive")
-    return int(count)
+def _require_integer(x, what: str, low: int) -> int:
+    """x as an int: DomainError unless it is a Python or numpy integer
+    (not a bool) >= low; the message names ``what``."""
+    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+            or x < low):
+        raise DomainError(f"{what} must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 def sample_energy(point: GibbsPoint, rng_seed: int, count: int) -> np.ndarray:
@@ -336,7 +340,7 @@ def sample_energy(point: GibbsPoint, rng_seed: int, count: int) -> np.ndarray:
     The uniforms are drawn and inverted _CHUNK at a time; the generator
     gives the same stream in pieces, so draw i does not depend on
     ``count``.  Domain: that of ``EnergyInverter``."""
-    count = _require_count(count)
+    count = _require_integer(count, "count", 1)
     inverter = EnergyInverter(point)
     rng = np.random.default_rng(rng_seed)
     return _by_chunks(count, lambda i, j: inverter.quantile(rng.random(j - i)))
@@ -383,10 +387,10 @@ def page_energy_samples(m: int, rng_seed: int, count: int) -> np.ndarray:
     parts, so the first 4096 draws do not depend on ``count``.  Each chunk
     is reduced in real arithmetic (no complex array is built), so the work
     arrays stay below 1 MB at m = 8 and the peak memory is the float64
-    output plus about 2 MB, whatever ``count``."""
-    if m < 2:
-        raise DomainError("page sampling requires m >= 2")
-    count = _require_count(count)
+    output plus about 2 MB, whatever ``count``.  Domain: m an integer
+    >= 2 and ``count`` an integer >= 1, else DomainError."""
+    m = _require_integer(m, "page sampling m", 2)
+    count = _require_integer(count, "count", 1)
     rng = np.random.default_rng(rng_seed)
     return _haar_bipartite_energies(m, rng, count)
 
@@ -397,10 +401,10 @@ def page_reduced_state(m: int, rng_seed: int) -> DensityMatrix2:
     A vector V of 2m complex standard Gaussians, shaped 2 x m, is drawn
     and the m-dimensional factor traced out: rho = V V^dagger / |V|^2.
     The draw and its reduction are those of ``page_energy_samples`` with
-    count 1, so the two agree on the energy for the same seed.
+    count 1, so the two agree on the energy for the same seed.  Domain:
+    m an integer >= 2, else DomainError.
     """
-    if m < 2:
-        raise DomainError("page_reduced_state requires m >= 2")
+    m = _require_integer(m, "page sampling m", 2)
     n, p00, p11, re, im = (float(x[0]) for x in
                            _haar_sums(np.random.default_rng(rng_seed), 1, m))
     off = complex(re, im)

@@ -14,8 +14,12 @@ s, s + 1, ... extrapolates the partial sums (A. Sidi, Practical
 Extrapolation Methods, Cambridge 2003).
 
 Domains (DomainError outside, on both paths, with no numpy warning) and
-accuracy targets, relative to max(1, |value|) (measured against mpmath
-over each whole domain: 5.4e-15, 2.4e-14, 7.1e-14):
+accuracy targets, relative to max(1, |value|).  Against 50-digit mpmath
+the worst errors of log_gamma, digamma and trigamma are 8.5e-15
+(x = 2.716), 2.5e-14 (x = 1.0046) and 7.2e-14 (x = 4.0001), over the
+20,001 x of np.logspace(-10, 10, 20001), 20,000 uniform x on [0, 12)
+from np.random.default_rng(0) and 2,001 geometrically spaced x across
+each domain:
     log_gamma   0 < x <= 2.5563e305, where (x - 1/2) ln x is finite; 1e-12
     digamma     x > 2**-1024 (about 5.56e-309), where 1/x is finite; 1e-11
     trigamma    x >= 2**-511 (about 1.49e-154), where 1/x^2 is finite; 1e-10
@@ -23,17 +27,18 @@ over each whole domain: 5.4e-15, 2.4e-14, 7.1e-14):
                 4e-16 max(1, |L|), D = L' and T = -L'' within 8e-16
                 relative, on [2**-511, 1e20]; DomainError below 2**-511
 
-Arrays: log_gamma, digamma and trigamma also take a float ndarray, and
-half_shift_gamma a 1-D one; hyp_pfq_at_1 takes a batch of series as
-parameter arrays and sums them one after another.  One rounding
-convention holds in every function of the library that takes a float or
-an array: it applies numpy ufuncs (np.log, np.log1p, np.exp, np.expm1,
-np.sqrt, np.tanh, np.arctanh), never ``math``, to either shape.  A ufunc
-gives a Python float the bits it gives an array element (math.log,
-math.log1p, math.exp and math.tanh differ from it on 29, 3,404, 4,692 and
-19,869 of 100,000 uniform arguments; numpy 2.4, x86-64), and +, -, * and
-/ are IEEE on both, so each element equals the float result bit for bit
-and the targets above hold on both; a float argument returns a float.
+Arrays: log_gamma, digamma and trigamma also take a real ndarray, and
+half_shift_gamma a 1-D one (a complex array raises DomainError);
+hyp_pfq_at_1 sums one series per call, from real parameters only.  One
+rounding convention holds in every function of the library that takes a
+float or an array: it applies numpy ufuncs (np.log, np.log1p, np.exp,
+np.expm1, np.sqrt, np.tanh, np.arctanh), never ``math``, to either
+shape.  A ufunc gives a Python float the bits it gives an array element
+(math.log, math.log1p, math.exp and math.tanh differ from it on 29,
+3,404, 4,692 and 19,869 of 100,000 uniform arguments; numpy 2.4,
+x86-64), and +, -, * and / are IEEE on both, so each element equals the
+float result bit for bit and the targets above hold on both; a float
+argument returns a float.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "trigamma",
     "half_shift_gamma",
     "require_positive",
+    "require_real_array",
     "require_square_floor",
     "pochhammer",
     "hyp_pfq_at_1",
@@ -120,22 +126,21 @@ _LADDER_POLYS = np.array(
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of a series summation, or of a batch of them.
+    """Outcome of one series summation.
 
-    value       partial sum plus tail correction (an array for a batch)
-    terms_used  number of terms consumed (>= 1; for a batch, over all rows)
-    tail_bound  absolute estimate of the remaining error (>= 0; an array
-                for a batch)
+    value       partial sum plus tail correction
+    terms_used  number of terms consumed (>= 1)
+    tail_bound  absolute estimate of the remaining error (>= 0)
     """
 
-    value: float | np.ndarray
+    value: float
     terms_used: int
-    tail_bound: float | np.ndarray
+    tail_bound: float
 
     def __post_init__(self):
         if self.terms_used < 1:
             raise ValueError("terms_used must be >= 1")
-        if np.count_nonzero(np.less(self.tail_bound, 0)):
+        if self.tail_bound < 0:
             raise ValueError("tail_bound must be >= 0")
 
 
@@ -147,6 +152,15 @@ def require_positive(x, what: str) -> None:
         raise DomainError(f"{what} must be finite and > 0, got {x!r}")
 
 
+def require_real_array(x: np.ndarray, what: str) -> np.ndarray:
+    """A float copy of the ndarray x; DomainError unless its dtype is
+    real (bool, integer or float), so that a complex array cannot lose
+    its imaginary part to the cast.  The message names ``what``."""
+    if x.dtype.kind not in "biuf":
+        raise DomainError(f"{what} requires a real array, got dtype {x.dtype}")
+    return np.array(x, dtype=float)
+
+
 def _recurrence(x, spec):
     """The kernel of log_gamma, digamma and trigamma: DomainError unless
     floor <= x <= ceiling; then, while x < threshold, add step(x) to a sum
@@ -156,7 +170,7 @@ def _recurrence(x, spec):
     bit for bit."""
     name, floor, ceiling, domain, threshold, step, tail = spec
     if isinstance(x, np.ndarray):
-        x = np.array(x, dtype=float)
+        x = require_real_array(x, name)
         outside = x[~((x >= floor) & (x <= ceiling))]
         if outside.size:  # the float check raises for it
             return _recurrence(outside.flat[0].item(), spec)
@@ -299,7 +313,7 @@ def half_shift_gamma(x):
         require_positive(x, "half_shift_gamma x")
         L, D, T = half_shift_gamma(np.array([x], dtype=float))
         return float(L[0]), float(D[0]), float(T[0])
-    x = np.array(x, dtype=float)
+    x = require_real_array(x, "half_shift_gamma")
     if x.ndim != 1 or not np.all((x >= _SQUARE_FLOOR) & (x < math.inf)):
         require_square_floor(x, "half_shift_gamma")
         raise DomainError("half_shift_gamma requires a 1-D array of finite "
@@ -531,64 +545,34 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     on [10, 1000], and 3F2(1/2, 1, 2; 3/2, 2.3; 1) (s = 0.3) at tol 1e-10
     at 512.
 
-    Batches: every parameter and ``tol`` may be a float or a 1-D array,
-    the arrays of equal length; row i sums the series with the i-th
-    element of each array (floats broadcast).  A batch is a loop over its
-    rows, each summed as a one-row call with its own parameters, so it
-    returns what that call returns, bit for bit.  Float arguments give a
-    float result; otherwise ``value`` and ``tail_bound`` are arrays and
-    ``terms_used`` is the sum over the rows.  A one-row call costs about
-    20 us per boundary it crosses (about 90 us for the 1,024 terms of
-    3F2(1/2, 1, 2; 3/2, 3; 1) at tol 1e-12), so a batch costs the sum of
-    its rows: about 6 ms for those 200 KMB series on [0.1, 100] (2-core
-    x86-64 VM).
+    Every parameter and ``tol`` is a real number (a Python or numpy int
+    or float), and a call sums one series; an ndarray or any other value
+    raises DomainError.  A call costs about 20 us per boundary it crosses
+    (about 90 us for the 1,024 terms of 3F2(1/2, 1, 2; 3/2, 3; 1) at tol
+    1e-12; 2-core x86-64 VM).
 
     Raises ConvergenceError when s <= 0 (non-terminating series diverges
-    at unit argument) or when 10^6 terms do not certify ``tol`` (in a
-    batch: for any row).
+    at unit argument) or when 10^6 terms do not certify ``tol``.
     """
-    p = len(numerators)
-    params = [*numerators, *denominators, tol]
-    batch = any([isinstance(x, np.ndarray) for x in params])
-    if batch:
-        try:
-            cols = np.broadcast_arrays(*params)
-        except ValueError:
-            raise DomainError("batched parameters need equal lengths") from None
-        if cols[0].ndim != 1 or not cols[0].size:
-            raise DomainError("batched parameters must be non-empty 1-D arrays")
-        table = np.stack(cols, axis=1).astype(float, copy=False)
-    else:
-        table = np.array([[float(x) for x in params]])
-
-    a, b, tols = table[:, :p], table[:, p:-1], table[:, -1]
-    # 0, -1, -2, ...: a numerator ends the series ((a)_k = 0 for k > -a),
-    # a denominator is a pole
-    whole = (table <= 0) & (table == np.floor(table))
-    terminating = np.logical_or.reduce(whole[:, :p], axis=1)
-    on_pole = whole[:, p:-1]
-    excess = np.add.reduce(b, axis=1) - np.add.reduce(a, axis=1)
-    bad = (~(tols > 0) | np.logical_or.reduce(on_pole, axis=1)
-           | ~terminating & (excess <= 0))
-    if np.count_nonzero(bad):
-        i = int(np.argmax(bad))
-        if not tols[i] > 0:
-            raise DomainError(f"tol must be positive, got {tols[i].item()!r}")
-        if on_pole[i].any():
-            raise DomainError("denominator parameter at a pole: "
-                              f"{b[i][on_pole[i]][0].item()!r}")
+    for x in (*numerators, *denominators, tol):
+        if not isinstance(x, _REALS):
+            raise DomainError("hyp_pfq_at_1 sums one series: every parameter "
+                              f"and tol must be a real number, got {x!r}")
+    nums = [float(x) for x in numerators]
+    dens = [float(x) for x in denominators]
+    tol = float(tol)
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    # 0, -1, -2, ...: a denominator is a pole, a numerator ends the series
+    poles = [x for x in dens if x <= 0 and x == np.floor(x)]
+    if poles:
+        raise DomainError(f"denominator parameter at a pole: {poles[0]!r}")
+    ends = [x for x in nums if x <= 0 and x == np.floor(x)]
+    if ends:
+        cut = 1 - int(max(ends))
+        return SeriesResult(_terminating_sum(nums, dens, cut), cut, 0.0)
+    excess = sum(dens) - sum(nums)
+    if excess <= 0:
         raise ConvergenceError("series diverges at unit argument: "
-                               f"sum(den) - sum(num) = {excess[i].item()}")
-    rows = []
-    for i, row in enumerate(table.tolist()):
-        nums, dens = row[:p], row[p:-1]
-        if terminating[i]:
-            cut = 1 - int(a[i][whole[i, :p]].max())
-            rows.append((_terminating_sum(nums, dens, cut), cut, 0.0))
-        else:
-            rows.append(_sum_series(nums, dens, excess[i].item(), row[-1]))
-    if not batch:
-        return SeriesResult(*rows[0])
-    value, terms, bound = zip(*rows)
-    return SeriesResult(value=np.array(value), terms_used=sum(terms),
-                        tail_bound=np.array(bound))
+                               f"sum(den) - sum(num) = {excess}")
+    return SeriesResult(*_sum_series(nums, dens, excess, tol))

@@ -10,9 +10,10 @@ def rng():
 @pytest.fixture(scope="session")
 def kmb_3f2_rows():
     """(numerators, denominators) of the KMB <r>'s 3F2 factor on a beta
-    grid as unit-argument series, one row per beta, for a batched
-    ``hyp_pfq_at_1`` call or one call per row: 3F2({1/2,1,2};{3/2,2+beta};1) from beta = 2.65
-    up and its Thomae image 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1)
+    grid as unit-argument series, one row per beta: parameter arrays whose
+    i-th elements are the arguments of one ``hyp_pfq_at_1`` call, which
+    sums one series.  3F2({1/2,1,2};{3/2,2+beta};1) from beta = 2.65 up
+    and its Thomae image 3F2({-1/2,beta,beta};{1+beta,1/2+beta};1)
     below.  The library reaches that factor by a contiguous relation;
     these rows are a workload whose term counts the summator's tests
     pin."""

@@ -89,6 +89,40 @@ def test_require_positive_rejects_non_reals(bad):
         specfun.require_positive(bad, "log_gamma x")
 
 
+# every entry point that casts an array argument to float: a complex
+# array must raise, not lose its imaginary part to the cast
+REAL_ARRAY_CALLERS = {
+    "log_gamma": specfun.log_gamma,
+    "digamma": specfun.digamma,
+    "trigamma": specfun.trigamma,
+    "half_shift_gamma": specfun.half_shift_gamma,
+    "GibbsPoint beta": lambda b: models.GibbsPoint(ModelKind.COMPLEX, b),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_ARRAY_CALLERS))
+def test_complex_array_raises(name):
+    with pytest.raises(DomainError, match=f"{name} requires a real array"):
+        REAL_ARRAY_CALLERS[name](np.array([1.0 + 5j, 2.0]))
+    # a complex array whose imaginary parts are 0 is still not real
+    with pytest.raises(DomainError, match="requires a real array"):
+        REAL_ARRAY_CALLERS[name](np.array([1.0 + 0j]))
+    REAL_ARRAY_CALLERS[name](np.array([1, 2]))  # integers are real
+
+
+def test_partition_of_a_complex_beta_array_raises():
+    # the cast used to keep the real part: Z(1) for beta = 1 + 5i
+    with pytest.raises(DomainError):
+        models.partition(models.GibbsPoint(ModelKind.COMPLEX,
+                                           np.array([1 + 5j])))
+
+
+@pytest.mark.parametrize("bad", ["1.0", [1.0], 1 + 0j, 2j, None])
+def test_gibbs_point_rejects_non_real_beta(bad):
+    with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+        models.GibbsPoint(ModelKind.COMPLEX, bad)
+
+
 # every integer-n argument in spectra: the caller, and the name its
 # DomainError gives
 N_CALLERS = {

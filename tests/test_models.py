@@ -578,11 +578,11 @@ class TestKmbPolarizationReference:
     def test_direct_series_relative_error(self):
         # the summator on the direct series of the same rows
         rows = [row for row in self.ROWS if row[0] >= 2.65]
-        betas = np.array([row[0] for row in rows])
-        got = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.0 + betas], 1e-13).value
+        got = [hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 2.0 + b], 1e-13).value
+               for b, _ in rows]
         with mp.workdps(40):
             err = [float(abs(mp.mpf(g) / mp.mpf(want) - 1))
-                   for g, (_, want) in zip(got.tolist(), rows)]
+                   for g, (_, want) in zip(got, rows)]
         assert max(err) <= 4e-15
         assert float(np.median(err)) <= 5e-16
 
@@ -957,6 +957,16 @@ class TestAsymptoticExpansions:
             mean_energy_asymptotic(0.999, 3)
         with pytest.raises(DomainError, match="beta >= 1"):
             polarization_asymptotic(0.999)
+
+    @pytest.mark.parametrize("order", (2.5, math.nan, "3", None, 0, 6))
+    def test_order_must_be_an_integer_in_one_to_five(self, order):
+        with pytest.raises(DomainError, match="order in 1..5"):
+            mean_energy_asymptotic(5.0, order)
+
+    def test_integral_order_accepted(self):
+        want = mean_energy_asymptotic(5.0, 3)
+        assert mean_energy_asymptotic(5.0, 3.0) == want
+        assert mean_energy_asymptotic(5.0, np.int64(3)) == want
 
     @pytest.mark.parametrize("beta", (1e300, 1.7e308))
     def test_horner_sums_at_large_beta(self, beta):

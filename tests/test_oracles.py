@@ -367,6 +367,16 @@ class TestSamplerDomain:
                 with pytest.raises(DomainError, match="inverse-CDF sampler"):
                     energy_cdf(point, 1.0)
 
+    @pytest.mark.parametrize("beta", [np.array([1.0]), np.array([1.0, 2.0])])
+    def test_array_beta_raises_domain_error(self, beta):
+        point = GibbsPoint(ModelKind.COMPLEX, beta)
+        with pytest.raises(DomainError, match="takes a float beta"):
+            EnergyInverter(point)
+        with pytest.raises(DomainError, match="takes a float beta"):
+            sample_energy(point, 1, 10)
+        with pytest.raises(DomainError, match="takes a float beta"):
+            energy_cdf(point, 1.0)
+
     @pytest.mark.parametrize("beta, outside", [
         (2.0**-511, np.nextafter(2.0**-511, 0.0)),
         (1e100, np.nextafter(1e100, math.inf))], ids=["floor", "ceiling"])
@@ -474,6 +484,20 @@ class TestPageReducedState:
     def test_rejects_small_m(self):
         with pytest.raises(DomainError):
             page_reduced_state(1, rng_seed=1)
+
+    @pytest.mark.parametrize("m", [1, np.int64(1), 2.5, 3.0, True, "3", None])
+    def test_m_must_be_an_integer_of_at_least_two(self, m):
+        with pytest.raises(DomainError, match="m must be an integer >= 2"):
+            page_reduced_state(m, 1)
+        with pytest.raises(DomainError, match="m must be an integer >= 2"):
+            page_energy_samples(m, 1, 10)
+
+    def test_numpy_integer_m_accepted(self):
+        want = page_energy_samples(3, 1, 10)
+        np.testing.assert_array_equal(page_energy_samples(np.int64(3), 1, 10),
+                                      want)
+        assert (page_reduced_state(np.int32(3), 1).energy
+                == page_reduced_state(3, 1).energy)
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     def test_energy_equals_one_page_sample(self, m):

@@ -2,11 +2,12 @@
 
 ``perfbench/tracer.py`` wraps the library's public functions and reads
 ``SeriesResult.terms_used`` from every ``hyp_pfq_at_1`` call; its traces
-are written as JSON.  A traced sweep must therefore serialise, a batched
-call must still report its work as one positive Python int, and the
-tracer's known call counts must hold.  A traced verify must still see the
-library calls of every suite, and the benchmark's own copy of the quoted
-constants (``perfbench/checks.py``) must agree with ``verify.PAPER``.
+are written as JSON.  A traced sweep must therefore serialise, a
+summator call, which sums one series, must report its work as one
+positive Python int, and the tracer's known call counts must hold.  A
+traced verify must still see the library calls of every suite, and the
+benchmark's own copy of the quoted constants (``perfbench/checks.py``)
+must agree with ``verify.PAPER``.
 """
 
 import contextlib
@@ -51,21 +52,21 @@ def test_traced_kmb_sweep_is_json_serialisable(tracer_module, kmb_3f2_rows):
             code = cli.main(["sweep", "--model", "kmb", "--beta-min", "0.5",
                              "--beta-max", "50", "--points", "40"])
         snap = tracer.take()
-        # the 3F2 rows of the same grid through the summator, in one call
-        specfun.hyp_pfq_at_1(*kmb_3f2_rows(np.logspace(np.log10(0.5),
-                                                        np.log10(50), 40)),
+        # the 3F2 row of the grid's first beta through the summator
+        nums, dens = kmb_3f2_rows(np.array([0.5]))
+        specfun.hyp_pfq_at_1([x[0] for x in nums], [x[0] for x in dens],
                              1e-13)
-        batch = tracer.take()
+        one = tracer.take()
     finally:
         tracer.uninstall()
     assert code == 0
     json.dumps(snap)
     assert "specfun.hyp_pfq_at_1" not in snap["spans"]
-    json.dumps(batch)
-    terms = batch["work"]["specfun.hyp_pfq_at_1.terms"]
+    json.dumps(one)
+    terms = one["work"]["specfun.hyp_pfq_at_1.terms"]
     assert type(terms) is int
     assert terms > 0
-    assert batch["spans"]["specfun.hyp_pfq_at_1"][0] == 1
+    assert one["spans"]["specfun.hyp_pfq_at_1"][0] == 1
 
 
 def test_traced_verify_sees_every_suite_and_layer(tracer_module):

@@ -355,6 +355,32 @@ class TestHypPfqAtUnit:
         res = hyp_pfq_at_1([a, 1.0], [a + 1.5], tol=1.0)
         assert abs(res.value - (2.0 * a + 1.0)) <= 1.0
 
+    def test_scalar_call_types(self):
+        res = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 3.0], tol=1e-12)
+        assert type(res.value) is float
+        assert type(res.tail_bound) is float
+        assert type(res.terms_used) is int
+
+    @pytest.mark.parametrize("bad", [np.array([3.0, 4.0]), np.array(3.0),
+                                     1 + 0j, "3.0", None])
+    @pytest.mark.parametrize("slot", ["numerator", "denominator", "tol"])
+    def test_one_real_series_per_call(self, bad, slot):
+        nums, dens, tol = [0.5, 1.0], [3.0], 1e-10
+        if slot == "numerator":
+            nums = [0.5, bad]
+        elif slot == "denominator":
+            dens = [bad]
+        else:
+            tol = bad
+        with pytest.raises(DomainError, match="sums one series"):
+            hyp_pfq_at_1(nums, dens, tol)
+
+    def test_numpy_and_int_parameters(self):
+        want = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 3.0], tol=1e-12)
+        got = hyp_pfq_at_1([np.float64(0.5), 1, np.int64(2)],
+                           [1.5, np.float32(3.0)], np.float64(1e-12))
+        assert got == want
+
 
 class TestBlockSchedule:
     """Blocks of 128, 128, 256, ... terms; before the 512 boundary a row
@@ -510,68 +536,6 @@ class TestUfuncPremise:
         assert mismatched.tolist() == []
 
 
-# KMB-like rows: direct (beta >= 3) and Thomae-mapped rows, plus one
-# terminating row, all with three numerators and two denominators
-_BATCH_BETAS = (0.01, 0.7, 2.9, 3.0, 12.0, 1e3)
-
-
-def _batch_rows():
-    rows = []
-    for b in _BATCH_BETAS:
-        if b >= 3.0:
-            rows.append(([0.5, 1.0, 2.0], [1.5, 2.0 + b], 1e-12))
-        else:
-            rows.append(([-0.5, b, b], [1.0 + b, 0.5 + b], 1e-11))
-    rows.append(([-3.0, 0.5, 1.0], [1.5, 2.0], 1e-12))
-    return rows
-
-
-def _batch_call(rows):
-    nums = [np.array([r[0][i] for r in rows]) for i in range(3)]
-    dens = [np.array([r[1][j] for r in rows]) for j in range(2)]
-    return hyp_pfq_at_1(nums, dens, np.array([r[2] for r in rows]))
-
-
-class TestHypPfqBatch:
-    def test_rows_equal_one_row_calls(self):
-        rows = _batch_rows()
-        batch = _batch_call(rows)
-        singles = [hyp_pfq_at_1(n, d, tol) for n, d, tol in rows]
-        np.testing.assert_array_equal(batch.value, [r.value for r in singles])
-        np.testing.assert_array_equal(batch.tail_bound,
-                                      [r.tail_bound for r in singles])
-        assert batch.terms_used == sum(r.terms_used for r in singles)
-        assert type(batch.terms_used) is int
-
-    def test_scalar_call_types(self):
-        res = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 3.0], tol=1e-12)
-        assert type(res.value) is float
-        assert type(res.tail_bound) is float
-        assert type(res.terms_used) is int
-
-    def test_floats_broadcast_against_arrays(self):
-        b2 = np.array([2.3, 5.5])
-        batch = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, b2], 1e-10)
-        for i, b in enumerate(b2.tolist()):
-            assert batch.value[i] == hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, b],
-                                                  1e-10).value
-
-    def test_bad_rows_rejected(self):
-        b2 = np.array([3.0, 4.0])
-        with pytest.raises(DomainError):
-            hyp_pfq_at_1([0.5, 1.0], [b2], np.array([1e-10, 0.0]))
-        with pytest.raises(DomainError):
-            hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, -2.0])], 1e-10)
-        with pytest.raises(DomainError):
-            hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, 4.0, 5.0])],
-                         np.array([1e-10, 1e-10]))
-        with pytest.raises(DomainError):
-            hyp_pfq_at_1([0.5, 1.0], [np.array([])], 1e-10)
-        with pytest.raises(ConvergenceError):
-            # second row: excess 1.5 - 1.5 = 0
-            hyp_pfq_at_1([0.5, 1.0], [np.array([3.0, 1.5])], 1e-10)
-
-
 # [numerators, denominators, tol, value, tail_bound, terms_used], floats as
 # float.hex (tests/ref/pfq_rows.py): the summator's numbers, pinned
 PFQ_ROWS = [[[float.fromhex(x) for x in row[0]],
@@ -590,15 +554,3 @@ class TestPfqRowsPin:
             res = hyp_pfq_at_1(nums, dens, tol)
             assert (res.value.hex(), res.tail_bound.hex(), res.terms_used) \
                 == (value.hex(), bound.hex(), terms), (nums, dens, tol)
-
-    def test_batched_calls(self):
-        shapes = sorted({(len(r[0]), len(r[1])) for r in PFQ_ROWS})
-        assert len(PFQ_ROWS) > 900 and len(shapes) == 3
-        for p, q in shapes:
-            rows = [r for r in PFQ_ROWS if (len(r[0]), len(r[1])) == (p, q)]
-            cols = np.array([[*r[0], *r[1], r[2]] for r in rows]).T
-            res = hyp_pfq_at_1(list(cols[:p]), list(cols[p:-1]), cols[-1])
-            for got, col in ((res.value, 3), (res.tail_bound, 4)):
-                assert [x.hex() for x in got.tolist()] \
-                    == [r[col].hex() for r in rows]
-            assert res.terms_used == sum(r[5] for r in rows)
