@@ -191,6 +191,18 @@ def _require_positive_beta(point: GibbsPoint):
     return low
 
 
+def _real_energies(E, what: str) -> np.ndarray:
+    """E as a float array, not copied when it already is one; DomainError
+    unless its dtype is real (bool, integer or float), so that a complex,
+    object or string E cannot lose its imaginary part to the float cast
+    or be parsed.  The message names ``what``."""
+    E_arr = np.asarray(E)
+    if E_arr.dtype.kind not in "biuf":
+        raise DomainError(f"{what} requires a real array or float E, got "
+                          f"dtype {E_arr.dtype}")
+    return E_arr.astype(float, copy=False)
+
+
 def omega_complex(E):
     """sqrt(1 - e^-E), the complex-family structure function; +0 at
     E = -0.0 as at E = 0."""
@@ -210,9 +222,10 @@ def structure_function(model: ModelKind, E):
     diverges like E^(-1/2) at E = 0 (integrable) and returns inf there.
     The KMB family returns 2 artanh sqrt(1 - e^-E).  Domain: a float or an
     array of any shape, empty included, of finite E >= 0 (-0.0 counts as
-    0); a NaN, an infinity or a negative entry raises DomainError.
+    0); a NaN, an infinity, a negative entry or a non-real dtype raises
+    DomainError.
     """
-    E_arr = np.asarray(E, dtype=float)
+    E_arr = _real_energies(E, "structure_function")
     scalar = E_arr.ndim == 0
     # a NaN fails both tests
     if not (E_arr.min(initial=0.0) >= 0.0 and E_arr.max(initial=0.0) < math.inf):
@@ -268,12 +281,12 @@ def _partition(point: GibbsPoint, low, shift) -> float | np.ndarray:
 
 
 def pdf(point: GibbsPoint, E):
-    """Gibbs density e^(-beta E) Omega(E) / Z(beta); vectorized over E,
-    for a float beta > 0."""
+    """Gibbs density e^(-beta E) Omega(E) / Z(beta); vectorized over E
+    (real, as for ``structure_function``), for a float beta > 0."""
     if isinstance(point.beta, np.ndarray):
         raise DomainError("pdf takes a float beta; vectorize over E instead")
     _require_positive_beta(point)
-    E_arr = np.asarray(E, dtype=float)
+    E_arr = _real_energies(E, "pdf")
     scalar = E_arr.ndim == 0
     z = partition(point)
     om = structure_function(point.model, E_arr)  # DomainError unless E >= 0
@@ -574,11 +587,11 @@ def integrated_density(model: ModelKind, E0):
     """
     array = isinstance(E0, np.ndarray)
     if array:
-        E0 = np.array(E0, dtype=float)
+        E0 = _real_energies(E0, "integrated_density").copy()
         if E0.ndim != 1 or not np.all((E0 >= 0) & (E0 < math.inf)):
             raise DomainError("integrated_density requires a 1-D array of "
                               "finite E0 >= 0")
-    elif not math.isfinite(E0) or E0 < 0:
+    elif not (isinstance(E0, specfun._REALS) and math.isfinite(E0) and E0 >= 0):
         raise DomainError("integrated_density requires finite E0 >= 0")
     if model is ModelKind.KMB:
         out = _kmb_integrated_density(E0 if array else np.array([E0], float))

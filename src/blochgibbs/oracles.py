@@ -4,8 +4,10 @@ Two oracles that deliberately avoid the closed forms they are used to
 check: an inverse-CDF Gibbs sampler (safeguarded Newton steps on the
 numerically integrated density, through ``quadrature.panel_integrals``),
 and the partial-trace Monte Carlo that reduces Haar-random bipartite pure
-states to 2x2 density matrices.  The sampler takes its density from
-``models``; adaptive quadrature lives in ``quadrature``.
+states to 2x2 density matrices.  The sampler takes only the structure
+function from ``models`` and normalises e^(-beta E) Omega(E) by its own
+quadrature, not by the closed-form ``models.partition``; adaptive
+quadrature lives in ``quadrature``.
 
 Every array path here works 4096 rows at a time (``_CHUNK``), so its
 memory is the output plus at most about 2 MB of work arrays whatever the
@@ -124,15 +126,17 @@ class DensityMatrix2:
 class EnergyInverter:
     """Numeric CDF of a Gibbs family and its inverse.
 
-    The density g(t) = 2t e^(-beta t^2) Omega(t^2) / Z of t = sqrt(E) (the
-    substitution removes the classical family's E^(-1/2) endpoint
-    singularity; Omega is ``models.structure_function``) is integrated
-    once over 4096 equal panels of [0, T] by the Kronrod-15 rule, with
-    T^2 = max(50, 60/beta) up to beta = 7 and 350/beta above it, so that
-    every larger beta sees the beta = 7 grid in units of beta*E.  Inside
-    a panel [t0, t1] the CDF at t is the grid value at t0 plus Simpson's
-    rule on [t0, t]; g(t), that rule's last node, is also the derivative
-    for the Newton steps of ``quantile``.
+    The unnormalised density g(t) = 2t e^(-beta t^2) Omega(t^2) of
+    t = sqrt(E) (the substitution removes the classical family's E^(-1/2)
+    endpoint singularity; Omega is ``models.structure_function``) is
+    integrated once over 4096 equal panels of [0, T] by the Kronrod-15
+    rule, with T^2 = max(50, 60/beta) up to beta = 7 and 350/beta above
+    it, so that every larger beta sees the beta = 7 grid in units of
+    beta*E.  The grid's total, the quadrature's own Z, normalises the
+    CDF; no closed-form Z enters.  Inside a panel [t0, t1] the CDF at t
+    is the grid value at t0 plus Simpson's rule on [t0, t], divided by
+    that total; g(t), that rule's last node, over the total is also the
+    derivative for the Newton steps of ``quantile``.
 
     Domain: a float (not an array) beta with 2**-511 <= beta <= 1e100,
     else DomainError.
@@ -140,11 +144,13 @@ class EnergyInverter:
     draws keep their accuracy over the whole range: a fixed seed gives
     the same mean of beta*E, to 0.1 standard error, at 2**-511 as at
     1e-100, and from 1e8 to 1e125.  Outside it the build would break:
-    below 2**-511 the KMB partition function overflows, below 1.6e-300
-    the cell count of ``quantile`` overflows and silently coarsens the
-    draws, and below 3.3e-307 the grid's range does; above 1e100 the
-    panel integrals near the origin approach the subnormal range, and
-    the quaternionic family's are all 0 from beta ~ 1.3e128.
+    the grid's total grows like the KMB Z ~ 1/beta^2 (4.5e307 at
+    2**-511) and overflows just below 2**-511, below 1.6e-300 the cell
+    count of ``quantile`` overflows and silently coarsens the draws, and
+    below 3.3e-307 the grid's range does; above 1e100 the density near
+    the origin approaches the subnormal range, and the quaternionic
+    family's grid total, about 1.33 beta^-2.5, is subnormal from
+    beta ~ 1.3e123.
     """
 
     _GRID_SIZE = 4096
@@ -174,16 +180,15 @@ class EnergyInverter:
         e_up = max(50.0, 60.0 / beta) * scale
         self._T = math.sqrt(e_up)
         self._t = np.linspace(0.0, self._T, self._GRID_SIZE + 1)
-        z = models.partition(point)
 
         def g(t):
             E = t * t
             om = models.structure_function(point.model, E)
             with np.errstate(invalid="ignore"):
-                out = 2.0 * t * np.exp(-beta * E) * om / z
+                out = 2.0 * t * np.exp(-beta * E) * om
             # classical integrand 2t * E^(-1/2) -> 2 at t = 0
             if point.model is ModelKind.CLASSICAL:
-                out = np.where(t == 0.0, 2.0 / z, out)
+                out = np.where(t == 0.0, 2.0, out)
             return out
 
         self._g = g

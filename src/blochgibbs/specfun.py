@@ -545,9 +545,10 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     on [10, 1000], and 3F2(1/2, 1, 2; 3/2, 2.3; 1) (s = 0.3) at tol 1e-10
     at 512.
 
-    Every parameter and ``tol`` is a real number (a Python or numpy int
-    or float), and a call sums one series; an ndarray or any other value
-    raises DomainError.  A call costs about 20 us per boundary it crosses
+    Every parameter and ``tol`` is a finite real number (a Python or
+    numpy int or float), and a call sums one series; an ndarray, an
+    infinity, a NaN or any other value raises DomainError before any term
+    is summed.  A call costs about 20 us per boundary it crosses
     (about 90 us for the 1,024 terms of 3F2(1/2, 1, 2; 3/2, 3; 1) at tol
     1e-12; 2-core x86-64 VM).
 
@@ -561,6 +562,9 @@ def hyp_pfq_at_1(numerators, denominators, tol) -> SeriesResult:
     nums = [float(x) for x in numerators]
     dens = [float(x) for x in denominators]
     tol = float(tol)
+    if not all(map(math.isfinite, (*nums, *dens, tol))):
+        raise DomainError("hyp_pfq_at_1 requires finite parameters and tol, "
+                          f"got {nums}, {dens} and {tol!r}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     # 0, -1, -2, ...: a denominator is a pole, a numerator ends the series

@@ -23,7 +23,7 @@ import numpy as np
 from . import rootfind
 from .errors import ConvergenceError, DomainError, QuadratureError
 from .models import (GibbsPoint, ModelKind, atanh_omega, mean_energy,
-                     omega_complex, pdf, var_energy)
+                     omega_complex, var_energy)
 from .oracles import DensityMatrix2
 from .specfun import half_shift_gamma, require_positive
 
@@ -141,12 +141,10 @@ def spin_sum_polarization(n: int, beta: float) -> float:
 
 
 # The tensor oracle's domain (also relative_entropy_numeric's): n <= 10,
-# where the weight-block design holds 12.4 MB, and beta in [1e-300, 1e4].
-# Below the floor 50/beta nears the double range (t_up is inf below
-# 2.8e-307); above the ceiling the relative error of models.partition,
-# which pdf divides by, passes 1e-11 (5e-11 at 3e4, 2e-7 at 1e8).
+# where the weight-block design holds 12.4 MB, and finite beta >= 1e-300;
+# below it 50/beta nears the double range (t_up is inf below 2.8e-307).
 _MAX_TENSOR_N = 10
-_ORACLE_BETA_MIN, _ORACLE_BETA_MAX = 1e-300, 1e4
+_ORACLE_BETA_MIN = 1e-300
 # Radial Gauss-Legendre levels; successive levels must agree to _DRIFT_TOL.
 _RADIAL_LEVELS = (48, 96, 192, 384)
 _DRIFT_TOL = 1e-9
@@ -168,20 +166,24 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _radial_rule(levels: tuple[int, ...], split: bool):
     """The radial Gauss-Legendre levels joined on one panel, or on two
     split at t = 6: per node, level by level and within a level panel by
-    panel, the unit node x + 1, its weight, whether it lies in the panel
-    past t = 6 and that panel's left edge; and the (start, stop) span of
-    each level.  None of it depends on beta, so each layout is built on
-    its first request and shared read-only."""
+    panel, the unit node u = x + 1, its weight w, whether it lies in the
+    panel past t = 6, that panel's left edge and w u e^(-12.5 u^2); and
+    the (start, stop) span of each level.  On one panel beta E =
+    12.5 u^2 at every beta, so the last array is the weight of
+    t e^(-beta E) dt there up to a constant factor.  None of it depends
+    on beta, so each layout is built on its first request and shared
+    read-only."""
     panels = 2 if split else 1
     rules = [_gauss_legendre(nodes) for nodes in levels]
     unit = np.concatenate([np.tile(x + 1.0, panels) for x, _ in rules])
     weight = np.concatenate([np.tile(w, panels) for _, w in rules])
     tail = np.concatenate([np.arange(panels * nodes) >= nodes for nodes in levels])
     edge = 6.0 * tail
-    for arr in (unit, weight, tail, edge):
+    folded = weight * unit * np.exp(-12.5 * unit * unit)
+    for arr in (unit, weight, tail, edge, folded):
         arr.flags.writeable = False
     ends = list(itertools.accumulate(panels * nodes for nodes in levels))
-    return unit, weight, tail, edge, tuple(zip([0] + ends[:-1], ends))
+    return unit, weight, tail, edge, folded, tuple(zip([0] + ends[:-1], ends))
 
 
 def _radial_moments(n: int, beta: float,
@@ -189,25 +191,34 @@ def _radial_moments(n: int, beta: float,
     """m_k = <((1+r)/2)^k ((1-r)/2)^(n-k)>, k = 0..n, over the complex-family
     radius r = Omega(E), by Gauss-Legendre in t = sqrt(E) on
     [0, sqrt(50/beta)], one array of moments per rule size in ``levels``.
-    All the levels share one ``pdf`` call on their joined nodes
-    (``_radial_rule``).  Past t = 6, 1 - r < 1e-16, so a separate panel
-    there keeps small beta (a long flat tail) from starving the region
-    where r varies."""
+    The weight of t is e^(-beta E) Omega(E) 2t up to a constant factor,
+    and each level divides its moments by its own quadrature of that
+    weight, so no closed-form Z enters.  All the levels share one
+    evaluation on their joined nodes (``_radial_rule``).  Past t = 6,
+    1 - r < 1e-16, so a separate panel there keeps small beta (a long flat
+    tail) from starving the region where r varies."""
     t_up = math.sqrt(50.0 / beta)
     split = t_up > 6.0
-    unit, weight, tail, edge, spans = _radial_rule(levels, split)
-    # each panel's half-width, (stop - start) / 2
-    half = np.where(tail, (t_up - 6.0) / 2.0, 3.0) if split else t_up / 2.0
-    t = half * unit + edge
-    E = t * t
-    # pdf in t is pdf(E) dE/dt = pdf(E) 2t
-    w = half * weight * pdf(GibbsPoint(ModelKind.COMPLEX, beta), E) * 2.0 * t
+    unit, weight, tail, edge, folded, spans = _radial_rule(levels, split)
+    if split:
+        half = np.where(tail, (t_up - 6.0) / 2.0, 3.0)  # (stop - start) / 2
+        t = half * unit + edge
+        E = t * t
+        w = half * weight * t * np.exp(-beta * E)
+    else:
+        t = 0.5 * t_up * unit
+        E = t * t
+        w = folded
     r = omega_complex(E)
-    up = 0.5 * (1.0 + r)
-    down = 0.5 * np.exp(-E) / (1.0 + r)  # (1 - r)/2 without cancellation
+    w = w * r
+    # 1 + r and 1 - r = e^-E / (1 + r), without cancellation; the factor
+    # 2^-n of ((1+r)/2)^k ((1-r)/2)^(n-k) goes on last
+    plus = 1.0 + r
+    minus = np.exp(-E) / plus
     k = np.arange(n + 1.0)
-    powers = up[:, None] ** k * down[:, None] ** (n - k)
-    return tuple(w[a:b] @ powers[a:b] for a, b in spans)
+    powers = plus[:, None] ** k * minus[:, None] ** (n - k)
+    return tuple(w[a:b] @ powers[a:b] / (w[a:b].sum() * 2.0 ** n)
+                 for a, b in spans)
 
 
 @functools.cache
@@ -283,27 +294,27 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     weights are positive and sum to 1, so (Weyl) the eigenvalues then
     agree to 1e-9 too.
 
-    Domain: integer n in 1..10 and finite 1e-300 <= beta <= 1e4;
-    DomainError outside it, QuadratureError if the radial levels do not
-    settle.  Below 1e-300 the radial range sqrt(50/beta) nears the double
-    range; above 1e4 the relative error of ``models.partition``, which
-    the radial weight divides by, passes 1e-11.
+    Domain: integer n in 1..10 and finite beta >= 1e-300; DomainError
+    outside it, QuadratureError if the radial levels do not settle.  Below
+    1e-300 the radial range sqrt(50/beta) nears the double range.  No
+    closed form bounds it above: the radial weight is normalised by its
+    own quadrature, not by ``models.partition``.
 
     Accuracy, against ``spectrum`` (itself within 5e-14 relative of
-    mpmath): the eigenvalues agree to 5e-14 absolute for n = 1..8 and
-    1e-300 <= beta <= 100, and to 1e-13 for n = 9 and 10 on 1e-10..100;
-    from 100 to 1e4 the error follows the relative error of
-    ``models.partition``, up to 1.3e-11 (n = 1) at 1e4.
+    mpmath), with warnings as errors: the eigenvalues agree to 6e-16
+    absolute for n = 1..10 and every beta from 1e-300 to 1.7e308.
 
     Cost (one core, beta in [0.5, 1.7]): the first call for each n also
     builds the rules it needs (``_gauss_legendre`` and ``_radial_rule``;
-    the radial levels stop at 96 nodes for every n <= 10 and beta from
-    1e-10 to 100) and the design, and takes 7-12 ms for n = 3, 20-35 ms
+    the radial levels stop at 96 nodes for every n <= 10 and every beta
+    in the domain) and the design, and takes 7-12 ms for n = 3, 20-35 ms
     for n = 8 and 0.23-0.31 s for n = 10, most of it building the design
-    from n = 8 up.  Later calls pay for one pdf evaluation on the 144 (or
-    288) joined radial nodes, one (n+1)-term real contraction and one
-    gather into the complex output: about 0.05-0.06 ms for n = 3, 0.3 ms
-    for n = 8 and 5-6 ms for n = 10, where the 16 MB output dominates.
+    from n = 8 up.  Later calls pay for one evaluation of Omega on the 144
+    (or 288) joined radial nodes (and of e^(-beta E) below
+    beta = 50/36; above it beta E does not depend on beta, and the rule
+    holds that factor), one (n+1)-term real contraction and one gather
+    into the complex output: about 0.03-0.04 ms for n = 3, 0.25 ms for
+    n = 8 and 3 ms for n = 10, where the 16 MB output dominates.
     The design holds (n+1) (C(2n, n) + 2^n) / 2 float64 values and a 4^n
     int32 index: 0.8 KB for n = 3, 0.73 MB for n = 8 and 12.4 MB for
     n = 10, where a dense (n+1) 4^n design would take 92 MB.
@@ -312,10 +323,9 @@ def zeta_matrix_oracle(n: int, beta: float) -> np.ndarray:
     if n > _MAX_TENSOR_N:
         raise DomainError(f"the tensor oracle is limited to n in 1..{_MAX_TENSOR_N}")
     require_positive(beta, "zeta_matrix_oracle beta")
-    if not _ORACLE_BETA_MIN <= beta <= _ORACLE_BETA_MAX:
-        raise DomainError(
-            f"zeta_matrix_oracle beta = {beta!r} is outside its domain "
-            f"[{_ORACLE_BETA_MIN:g}, {_ORACLE_BETA_MAX:g}]")
+    if beta < _ORACLE_BETA_MIN:
+        raise DomainError(f"zeta_matrix_oracle beta = {beta!r} is below its "
+                          f"domain floor {_ORACLE_BETA_MIN:g}")
     coarse, moments = _radial_moments(n, beta, _RADIAL_LEVELS[:2])
     finer_levels = iter(_RADIAL_LEVELS[2:])
     # "not <" so that a NaN drift counts as drifting
@@ -335,8 +345,8 @@ def relative_entropy_numeric(rho: DensityMatrix2, n: int, beta: float) -> float:
     """Relative entropy of rho^(x)n with respect to the averaged matrix:
     -n S(rho) - Tr(rho^(x)n log zeta_n), natural logs.
 
-    Domain as ``zeta_matrix_oracle`` (integer n in 1..10 and
-    1e-300 <= beta <= 1e4), whose DomainError it raises.  For the
+    Domain as ``zeta_matrix_oracle`` (integer n in 1..10 and finite
+    beta >= 1e-300), whose DomainError it raises.  For the
     maximally mixed rho it matches the closed form
     -n ln 2 - 2^-n sum_d m_{n,d} ln lambda_{n,d} to within 1e-14 for
     n = 1..10 at beta = 1.  A call takes about 0.03 s at n = 8 and 1.4 s at

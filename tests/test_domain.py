@@ -97,6 +97,9 @@ REAL_ARRAY_CALLERS = {
     "trigamma": specfun.trigamma,
     "half_shift_gamma": specfun.half_shift_gamma,
     "GibbsPoint beta": lambda b: models.GibbsPoint(ModelKind.COMPLEX, b),
+    "structure_function": lambda E: models.structure_function(ModelKind.COMPLEX, E),
+    "pdf": lambda E: models.pdf(models.GibbsPoint(ModelKind.COMPLEX, 1.0), E),
+    "integrated_density": lambda E: models.integrated_density(ModelKind.COMPLEX, E),
 }
 
 
@@ -108,6 +111,30 @@ def test_complex_array_raises(name):
     with pytest.raises(DomainError, match="requires a real array"):
         REAL_ARRAY_CALLERS[name](np.array([1.0 + 0j]))
     REAL_ARRAY_CALLERS[name](np.array([1, 2]))  # integers are real
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0], dtype=object),
+                                 np.array(["1.0"]), 1.0 + 5j])
+@pytest.mark.parametrize("name", ["structure_function", "pdf",
+                                  "integrated_density"])
+def test_energy_of_a_non_real_dtype_raises(name, bad):
+    # the float cast used to parse a string and to keep the real part of
+    # a complex E (0.795 for structure_function at E = 1 + 5i)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{name} requires"):
+            REAL_ARRAY_CALLERS[name](bad)
+
+
+def test_real_energy_array_is_not_copied(monkeypatch):
+    # the check reads the dtype; a float array reaches the arithmetic as is
+    E = np.linspace(0.0, 3.0, 7)
+    seen = []
+    omega = models.omega_complex
+    monkeypatch.setattr(models, "omega_complex",
+                        lambda x: seen.append(x) or omega(x))
+    models.structure_function(ModelKind.COMPLEX, E)
+    assert seen[0] is E
 
 
 def test_partition_of_a_complex_beta_array_raises():

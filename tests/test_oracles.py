@@ -13,6 +13,7 @@ from scipy.special import betainc
 from scipy.stats import ks_2samp
 
 import blochgibbs
+from blochgibbs import models, oracles, spectra
 from blochgibbs.errors import DomainError, QuadratureError
 from blochgibbs.models import (GibbsPoint, ModelKind, POWER_LAW_MODELS,
                                mean_energy, partition, pdf, var_energy)
@@ -446,17 +447,44 @@ class TestInverterChunks:
 class TestInverterDensity:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_is_two_t_times_models_pdf(self, model):
+        # g is the unnormalised density, 2t pdf Z; the grid's own total
+        # is the quadrature's Z
         point = GibbsPoint(model, 0.7)
         inv = EnergyInverter(point)
         t = np.linspace(0.01, 6.0, 301)
-        np.testing.assert_allclose(inv._g(t), 2.0 * t * pdf(point, t * t),
+        z = partition(point)
+        np.testing.assert_allclose(inv._g(t), 2.0 * t * pdf(point, t * t) * z,
                                    rtol=1e-15, atol=0)
+        assert inv._total == pytest.approx(z, rel=1e-13)
 
     def test_classical_limit_at_origin(self):
         point = GibbsPoint(ModelKind.CLASSICAL, 0.7)
         got = EnergyInverter(point)._g(np.array([0.0, 1e-8]))
-        assert got[0] == 2.0 / partition(point)
+        assert got[0] == 2.0
         assert got[1] == pytest.approx(got[0], rel=1e-12)
+
+
+class TestNoClosedFormZ:
+    """The oracles normalise by their own quadrature: the tensor oracle,
+    the relative entropy built on it, the sampler and its CDF all run with
+    the closed-form ``partition`` and ``pdf`` unavailable."""
+
+    def test_oracles_run_without_partition_or_pdf(self, monkeypatch):
+        def closed_form(*args, **kwargs):
+            raise AssertionError("an oracle called a closed form")
+
+        for module in (models, spectra, oracles):
+            for name in ("partition", "pdf"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, closed_form)
+        rho = DensityMatrix2(r=0.5, theta=0.3, phi=1.0)
+        for beta in (1e-5, 0.7, 5.0):
+            assert spectra.zeta_matrix_oracle(3, beta).shape == (8, 8)
+            assert math.isfinite(spectra.relative_entropy_numeric(rho, 2, beta))
+        for model in ModelKind:
+            point = GibbsPoint(model, 0.7)
+            assert np.all(np.isfinite(sample_energy(point, 5, 200)))
+            assert 0.0 < energy_cdf(point, 1.0) < 1.0
 
 
 class TestPageReducedState:

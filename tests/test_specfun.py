@@ -375,6 +375,24 @@ class TestHypPfqAtUnit:
         with pytest.raises(DomainError, match="sums one series"):
             hyp_pfq_at_1(nums, dens, tol)
 
+    @pytest.mark.parametrize("nums,dens,tol", [
+        ([-math.inf, 1.0], [3.0], 1e-10),  # leaked OverflowError
+        ([0.5, 1.0], [math.inf], 1e-10),  # returned 1.0, tail bound 1e-15
+        ([math.nan, 1.0], [3.0], 1e-10),  # ended in ConvergenceError
+        ([0.5, 1.0], [math.nan], 1e-10),
+        ([0.5, 1.0], [3.0], math.inf),
+    ], ids=["minus_inf_numerator", "inf_denominator", "nan_numerator",
+            "nan_denominator", "inf_tol"])
+    def test_non_finite_parameter_raises_before_summing(self, nums, dens, tol,
+                                                        monkeypatch):
+        def summed(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(specfun, "_sum_series", summed)
+        monkeypatch.setattr(specfun, "_terminating_sum", summed)
+        with pytest.raises(DomainError, match="requires finite parameters"):
+            hyp_pfq_at_1(nums, dens, tol)
+
     def test_numpy_and_int_parameters(self):
         want = hyp_pfq_at_1([0.5, 1.0, 2.0], [1.5, 3.0], tol=1e-12)
         got = hyp_pfq_at_1([np.float64(0.5), 1, np.int64(2)],
